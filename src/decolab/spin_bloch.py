@@ -92,24 +92,37 @@ def bloch_rhs(spec: SpinBathSpec, state, constants: PhysicalConstants = NATURAL)
     ])
 
 
-def bloch_evolve(spec: SpinBathSpec, initial, t: float, constants: PhysicalConstants = NATURAL) -> np.ndarray:
+def bloch_evolve(spec: SpinBathSpec, initial, t, constants: PhysicalConstants = NATURAL) -> np.ndarray:
     """Closed-form polarization at time t from the given initial vector.
 
         P_z(t)    = P0 + (P_z(0) - P0) exp(-t/T1)
         P_x,y(t)  = P_x,y(0) exp(-t/T2)
+
+    t may be a float, giving shape (3,), or an array of times, giving one
+    row per time, shape t.shape + (3,).  Every exponential is math.exp of
+    the same float quotient, so a row equals the scalar call at its time.
     """
     p0vec = np.asarray(initial, dtype=float)
     if p0vec.shape != (3,):
         raise ValueError(f"initial must have shape (3,), got {p0vec.shape}")
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    times = np.asarray(t, dtype=float)
+    if np.any(times < 0):
+        raise ValueError(f"t must be non-negative, got {float(np.min(times))}")
     p_eq = equilibrium_polarization(spec, constants)
     t1, t2 = relaxation_times(spec, constants)
-    return np.array([
-        p0vec[0] * math.exp(-t / t2),
-        p0vec[1] * math.exp(-t / t2),
-        p_eq + (p0vec[2] - p_eq) * math.exp(-t / t1),
-    ])
+    # math.exp, not np.exp: the two round differently on a few percent of
+    # float64 inputs, and the written trajectories are pinned bit for bit
+    decay2 = _exp_each(-times / t2)
+    decay1 = _exp_each(-times / t1)
+    return np.stack([
+        p0vec[0] * decay2,
+        p0vec[1] * decay2,
+        p_eq + (p0vec[2] - p_eq) * decay1,
+    ], axis=-1)
+
+
+def _exp_each(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.exp, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
 
 
 def check_density_matrix(
@@ -120,29 +133,28 @@ def check_density_matrix(
 ) -> None:
     """Raise StateInvariantError unless rho is a valid 2x2 density matrix.
 
-    Checks unit trace, hermiticity, and that both eigenvalues lie in
-    [-eigen_tol, 1 + eigen_tol] (closed form for a 2x2 Hermitian matrix;
-    no linear-algebra machinery needed).
+    rho may also be a stack of shape (..., 2, 2), such as a trajectory;
+    then every matrix in it must pass.  Checks unit trace, hermiticity, and
+    that both eigenvalues lie in [-eigen_tol, 1 + eigen_tol] (closed form
+    for a 2x2 Hermitian matrix; no linear-algebra machinery needed).  Each
+    bound is tested as `not (deviation <= tol)`, so a NaN fails it.
     """
     rho = np.asarray(rho)
-    if rho.shape != (2, 2):
+    if rho.shape[-2:] != (2, 2):
         raise StateInvariantError(f"density matrix must be 2x2, got shape {rho.shape}")
-    tr = rho[0, 0] + rho[1, 1]
-    if abs(tr - 1.0) > trace_tol:
-        raise StateInvariantError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    herm = max(
-        abs(rho[0, 1] - np.conj(rho[1, 0])),
-        abs(rho[0, 0].imag) if np.iscomplexobj(rho) else 0.0,
-        abs(rho[1, 1].imag) if np.iscomplexobj(rho) else 0.0,
-    )
-    if herm > herm_tol:
+    a, b, c, d = rho[..., 0, 0], rho[..., 0, 1], rho[..., 1, 0], rho[..., 1, 1]
+    trace_dev = np.max(np.abs(a + d - 1.0))
+    if not trace_dev <= trace_tol:
+        raise StateInvariantError(f"trace deviates from 1 by {trace_dev:.3e}")
+    herm = np.max([
+        np.max(np.abs(b - np.conj(c))), np.max(np.abs(a.imag)), np.max(np.abs(d.imag))
+    ])
+    if not herm <= herm_tol:
         raise StateInvariantError(f"hermiticity violated by {herm:.3e}")
-    mean = 0.5 * (rho[0, 0].real + rho[1, 1].real)
-    radius = math.sqrt(
-        (0.5 * (rho[0, 0].real - rho[1, 1].real)) ** 2 + abs(rho[0, 1]) ** 2
-    )
-    lo, hi = mean - radius, mean + radius
-    if lo < -eigen_tol or hi > 1.0 + eigen_tol:
+    mean = 0.5 * (a.real + d.real)
+    radius = np.sqrt((0.5 * (a.real - d.real)) ** 2 + np.abs(b) ** 2)
+    lo, hi = np.min(mean - radius), np.max(mean + radius)
+    if not (lo >= -eigen_tol and hi <= 1.0 + eigen_tol):
         raise StateInvariantError(
             f"eigenvalues [{lo:.6g}, {hi:.6g}] outside [0, 1] beyond tolerance"
         )
@@ -153,17 +165,22 @@ def density_from_polarization(state) -> np.ndarray:
 
     Diagonal entries are (1 +/- P_z)/2; the off-diagonals are P_-/2 and
     P_+/2 with P_+- = P_x +/- i P_y (no constant offset enters them).
+    A stack of vectors, shape (..., 3), gives a stack of matrices,
+    shape (..., 2, 2).
     """
     p = np.asarray(state, dtype=float)
-    if p.shape != (3,):
-        raise ValueError(f"state must have shape (3,), got {p.shape}")
-    norm = math.sqrt(float(p @ p))
+    if p.shape[-1:] != (3,):
+        raise ValueError(f"state must have shape (3,) or (..., 3), got {p.shape}")
+    norm = np.sqrt(np.max(np.einsum("...i,...i->...", p, p)))
     if norm > 1.0 + 1e-10:
         raise StateInvariantError(f"|P| = {norm:.12g} exceeds 1")
-    return np.array([
-        [0.5 * (1.0 + p[2]), 0.5 * (p[0] - 1.0j * p[1])],
-        [0.5 * (p[0] + 1.0j * p[1]), 0.5 * (1.0 - p[2])],
-    ])
+    px, py, pz = p[..., 0], p[..., 1], p[..., 2]
+    rho = np.empty(p.shape[:-1] + (2, 2), dtype=complex)
+    rho[..., 0, 0] = 0.5 * (1.0 + pz)
+    rho[..., 0, 1] = 0.5 * (px - 1.0j * py)
+    rho[..., 1, 0] = 0.5 * (px + 1.0j * py)
+    rho[..., 1, 1] = 0.5 * (1.0 - pz)
+    return rho
 
 
 def polarization_from_density(rho: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """End-to-end command-line runs against temporary workspaces."""
 
+import hashlib
 import math
 import pathlib
 import subprocess
@@ -176,6 +177,28 @@ class TestRunCommand:
         assert "FAIL" in captured.out
         assert "status = fail" in (out / "report.txt").read_text()
 
+    def test_nan_deviation_fails_verification(self, tmp_path, monkeypatch, capsys):
+        # a NaN ratio on a later snapshot must fail the check, not be dropped
+        # by a running max that already holds a finite value
+        original = runner_mod.cat_free.attenuation_from_field
+        calls = []
+
+        def nan_on_second(field):
+            calls.append(field)
+            result = original(field)
+            return result._replace(value=math.nan) if len(calls) == 2 else result
+
+        monkeypatch.setattr(runner_mod.cat_free, "attenuation_from_field", nan_on_second)
+        cfg = write_cfg(tmp_path, FREE_CFG)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--verify", "--out", str(out)]) == 1
+        assert len(calls) == 3
+        report = (out / "report.txt").read_text()
+        assert "c3_name = attenuation_ratio_identity" in report
+        assert "c3_deviation = nan" in report
+        assert "c3_pass = false" in report
+        assert "verify attenuation_ratio_identity: FAIL" in capsys.readouterr().out
+
     def test_low_t_regime_skips_snapshots_with_note(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,
@@ -260,8 +283,79 @@ class TestSelftestCommand:
         assert "FAIL" not in out
         assert out.count("selftest ") >= 10
 
+    def test_nan_deviation_fails(self, capsys, monkeypatch):
+        import decolab.oracle as oracle_mod
+
+        original = oracle_mod.lindblad_bloch_deviation
+        calls = []
+
+        def nan_on_third(*args, **kwargs):
+            calls.append(args)
+            return math.nan if len(calls) == 3 else original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_mod, "lindblad_bloch_deviation", nan_on_third)
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert "selftest lindblad_vs_bloch: FAIL" in out
+        assert out.count("FAIL") == 1
+
+
+# sha256 of every file the shipped configs write, as first released; a change
+# that moves a single bit of a written float or a report line fails here
+SHIPPED_DIGESTS = {
+    ("free_cat", False): {
+        "attenuation.csv": "077c7d9214fa7f1b36d7d6382c50ffe7189b58fd6e8c92da183b56fa83b9fb4b",
+        "catfield_00.csv": "99547b0e97e8fb11f1df7e7a4a1ef11b8c16effbf3a219e143f6ef1e7531ed43",
+        "catfield_01.csv": "833879743bce9b70befd415842b304fd7517cb2c9c3fccbf7cc60dfac9d89785",
+        "catfield_02.csv": "c0c0ec16365abeba15177278a4f77b0f0545c4da198e7c4d0e33c4d3fa5738bf",
+        "catfield_03.csv": "91553f57b82f3e98d236328e6fd5d07bbce7bad23d175ac7a4731943aa3a5dd4",
+        "catfield_04.csv": "4458e716e765d6b1f1e25215adaf59a1a9156cb67bcda03c8eda5f154b994f61",
+        "report.txt": "f102ac1013b088d2a9e66be7108528f897289d39ed9cdcca86c4d7de258f866f",
+    },
+    ("free_cat", True): {
+        "attenuation.csv": "077c7d9214fa7f1b36d7d6382c50ffe7189b58fd6e8c92da183b56fa83b9fb4b",
+        "catfield_00.csv": "99547b0e97e8fb11f1df7e7a4a1ef11b8c16effbf3a219e143f6ef1e7531ed43",
+        "catfield_01.csv": "833879743bce9b70befd415842b304fd7517cb2c9c3fccbf7cc60dfac9d89785",
+        "catfield_02.csv": "c0c0ec16365abeba15177278a4f77b0f0545c4da198e7c4d0e33c4d3fa5738bf",
+        "catfield_03.csv": "91553f57b82f3e98d236328e6fd5d07bbce7bad23d175ac7a4731943aa3a5dd4",
+        "catfield_04.csv": "4458e716e765d6b1f1e25215adaf59a1a9156cb67bcda03c8eda5f154b994f61",
+        "report.txt": "0e8a5369abf621f26a237b900943f99b66ca94553f76f5de6f88b883574059fa",
+    },
+    ("oscillator", False): {
+        "attenuation.csv": "cd3c4291e795e1fe993a558dc3d5a89320808e20a124864df0590a321b5aa9e8",
+        "report.txt": "0d9eb2a2e68513a2bbcb76432d2820833f7c0e708b420afa3826a07baae8098c",
+        "revivals.csv": "281e652d01fe7bae9ef8019d760a7b7f974b63b0c7dd3c103c68e9be9a15feac",
+    },
+    ("oscillator", True): {
+        "attenuation.csv": "cd3c4291e795e1fe993a558dc3d5a89320808e20a124864df0590a321b5aa9e8",
+        "report.txt": "4fa426c1bf8b77a2f83a69fa3193c1e82b2ea5b6668440c5ecb977c52deedd1a",
+        "revivals.csv": "281e652d01fe7bae9ef8019d760a7b7f974b63b0c7dd3c103c68e9be9a15feac",
+    },
+    ("spin", False): {
+        "bloch_trajectory.csv": "555afb2ef4947ccb5b50ab5b81ecebb8b893be4069cae66150a029e13e71d38b",
+        "equilibrium.txt": "cd4765b7c01e172f77368c646255d8a0d684c1699de343a61a4ee02a3037e648",
+        "report.txt": "39eb352fbb5ac9ef8de93fa5b1ca75fca8b2b20a876107aa4beb709f191968f4",
+    },
+    ("spin", True): {
+        "bloch_trajectory.csv": "555afb2ef4947ccb5b50ab5b81ecebb8b893be4069cae66150a029e13e71d38b",
+        "equilibrium.txt": "cd4765b7c01e172f77368c646255d8a0d684c1699de343a61a4ee02a3037e648",
+        "report.txt": "e681815cb1266af15b0e2d63806c144e4799370bd7db1eb1ef558ff987587271",
+    },
+}
+
 
 class TestShippedConfigs:
+    @pytest.mark.parametrize("name,verify", sorted(SHIPPED_DIGESTS))
+    def test_outputs_match_pinned_digests(self, tmp_path, name, verify):
+        cfg = pathlib.Path(__file__).parent.parent / "configs" / f"{name}.cfg"
+        argv = ["run", str(cfg), "--out", str(tmp_path)] + (["--verify"] if verify else [])
+        assert main(argv) == 0
+        written = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(tmp_path.iterdir())
+        }
+        assert written == SHIPPED_DIGESTS[name, verify]
+
     def test_every_sample_config_runs(self, tmp_path):
         configs = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.cfg"))
         assert len(configs) >= 3

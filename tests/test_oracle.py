@@ -177,6 +177,21 @@ class TestRK4:
                 lambda t, rho: lindblad_rhs(SPIN, rho), rho0, 100.0 * t1, 50.0 * t1
             )
 
+    def test_check_sees_the_stacked_trajectory(self):
+        seen = []
+        traj = integrate_rk4(lambda t, y: -y, np.array([1.0]), 1.0, 0.25, check=seen.append)
+        assert len(seen) == 1 and np.array_equal(seen[0], traj.states)
+
+    def test_density_check_catches_nan(self):
+        # a generator that goes NaN mid-run must fail the automatic check
+        rho0 = density_from_polarization([0.0, 0.0, 0.5])
+
+        def rhs(t, rho):
+            return np.full_like(rho, np.nan) if t > 0.5 else np.zeros_like(rho)
+
+        with pytest.raises(StateInvariantError):
+            integrate_rk4(rhs, rho0, 1.0, 0.1)
+
     def test_bloch_vector_route_matches_closed_form(self):
         # fine-step three-component integration against the analytic solution
         t1, _ = relaxation_times(SPIN)
@@ -189,6 +204,35 @@ class TestRK4:
 
 
 class TestLindbladIntegration:
+    @pytest.mark.parametrize("temperature", [0.0, SPIN.temperature, 1e4])
+    def test_superoperator_route_is_bit_identical_to_raw_generator(self, temperature):
+        # reference: RK4 on the literal 2x2 generator, one call per stage
+        spec = SpinBathSpec(gamma=1.0, omega=1.0, temperature=temperature)
+        t1, _ = relaxation_times(spec)
+        rho0 = density_from_polarization([0.4, -0.3, 0.5])
+        fast = integrate_lindblad(spec, rho0, 5.0 * t1, t1 / 200.0)
+        reference = integrate_rk4(
+            lambda t, rho: lindblad_rhs(spec, rho), rho0, 5.0 * t1, t1 / 200.0
+        )
+        assert np.array_equal(fast.times, reference.times)
+        assert np.array_equal(fast.states, reference.states)
+
+    def test_deviation_is_the_max_over_samples(self):
+        t1, _ = relaxation_times(SPIN)
+        p0 = np.array([0.4, 0.2, -0.3])
+        traj = integrate_lindblad(SPIN, density_from_polarization(p0), 2.0 * t1, t1 / 50.0)
+        per_sample = [
+            np.max(np.abs(rho - density_from_polarization(bloch_evolve(SPIN, p0, float(t)))))
+            for t, rho in zip(traj.times, traj.states)
+        ]
+        assert lindblad_bloch_deviation(SPIN, p0, 2.0 * t1, t1 / 50.0) == max(per_sample)
+
+    def test_reckless_step_fails_the_check(self):
+        t1, _ = relaxation_times(SPIN)
+        rho0 = density_from_polarization([0.0, 0.0, 0.9])
+        with pytest.raises(StateInvariantError):
+            integrate_lindblad(SPIN, rho0, 100.0 * t1, 50.0 * t1)
+
     def test_matches_bloch_solution(self):
         t1, _ = relaxation_times(SPIN)
         dev = lindblad_bloch_deviation(SPIN, [0.4, 0.2, -0.3], 5.0 * t1, t1 / 200.0)

@@ -160,6 +160,18 @@ class TestBlochDynamics:
         assert rate_l / rate_t == pytest.approx(2.0, abs=1e-9)
         assert rate_t == pytest.approx(1.0 / t2, rel=1e-9)
 
+    def test_time_array_matches_scalar_calls(self):
+        # the array form must reproduce the scalar one bit for bit, in any
+        # bath: the written trajectories are pinned to it
+        initial = np.array([0.6, -0.25, 0.2])
+        baths = (eighth_spec(gamma=0.7), SpinBathSpec(1.3, 1.0, 0.0), SpinBathSpec(1.0, 1.0, 1e4))
+        for spec in baths:
+            times = np.linspace(0.0, 9.0, 257)
+            stacked = np.array([bloch_evolve(spec, initial, float(t)) for t in times])
+            assert np.array_equal(bloch_evolve(spec, initial, times), stacked)
+        with pytest.raises(ValueError):
+            bloch_evolve(eighth_spec(), initial, np.array([0.0, -1e-3]))
+
     @given(
         px=st.floats(-0.6, 0.6),
         py=st.floats(-0.6, 0.6),
@@ -209,6 +221,41 @@ class TestDensityMatrixMap:
     def test_pure_state_on_sphere_passes(self):
         p = np.array([0.6, 0.0, 0.8])  # unit length
         check_density_matrix(density_from_polarization(p))
+
+    def test_stack_matches_scalar_calls(self):
+        rng = np.random.default_rng(3)
+        p = rng.uniform(-0.57, 0.57, size=(200, 3))
+        stacked = np.array([density_from_polarization(row) for row in p])
+        assert np.array_equal(density_from_polarization(p), stacked)
+        with pytest.raises(StateInvariantError):
+            density_from_polarization(np.vstack([p, [1.0, 1.0, 1.0]]))
+
+
+class TestDensityMatrixCheck:
+    def test_nan_matrix_fails(self):
+        # every comparison with NaN is False; the check must not read that as a pass
+        with pytest.raises(StateInvariantError):
+            check_density_matrix(np.full((2, 2), np.nan, dtype=complex))
+
+    def test_stack_passes_when_every_state_is_valid(self):
+        p = np.array([[0.0, 0.0, 0.0], [0.6, 0.0, 0.8], [0.1, -0.2, 0.3]])
+        check_density_matrix(density_from_polarization(p))
+
+    def test_one_nan_state_fails_the_trajectory(self):
+        states = density_from_polarization(np.zeros((5, 3)))
+        states[3, 0, 1] = np.nan
+        with pytest.raises(StateInvariantError):
+            check_density_matrix(states)
+
+    def test_one_bad_state_fails_the_trajectory(self):
+        states = density_from_polarization(np.zeros((4, 3)))
+        states[2] = [[1.5, 0.0], [0.0, -0.5]]  # negative weight
+        with pytest.raises(StateInvariantError, match="eigenvalues"):
+            check_density_matrix(states)
+
+    def test_shape(self):
+        with pytest.raises(StateInvariantError):
+            check_density_matrix(np.eye(3))
 
 
 class TestMagnetization:
