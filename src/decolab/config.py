@@ -8,6 +8,7 @@ error names the offending section and key.
 """
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -117,9 +118,12 @@ class _Section:
                 raise ConfigError(f"[{self.name}] is missing required key {key!r}")
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a finite number")
+        return value
 
     def get_int(self, key: str, default=None, required: bool = False):
         raw = self._raw(key)

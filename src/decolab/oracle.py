@@ -2,9 +2,14 @@
 
 Two deliberately simple workhorses live here: an adaptive Simpson quadrature
 (for normalization and overlap integrals) and a fixed-step fourth-order
-Runge-Kutta integrator (for driving the raw two-level master equation).
-Neither shares any code with the analytic formulas they are used to verify,
-which is the point: agreement between the two routes is the evidence.
+Runge-Kutta integrator.  Neither shares any code with the analytic formulas
+they are used to verify, which is the point: agreement between the two
+routes is the evidence.
+
+The raw two-level master equation is driven by its own RK4 loop on
+Python-scalar complex numbers, the four entries of vec(rho), because numpy
+call overhead on 4-element arrays would dominate it.  That loop rounds
+exactly as `integrate_rk4` on `lindblad_rhs` does (see `integrate_lindblad`).
 """
 
 import math
@@ -129,6 +134,20 @@ class Trajectory:
 _TRAJECTORY_TOL = 1e-8
 
 
+def _check_step(t_end: float, dt: float) -> None:
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if t_end < 0:
+        raise ValueError(f"t_end must be non-negative, got {t_end}")
+    if t_end > 0 and dt > t_end:
+        raise ValueError(f"dt = {dt} exceeds t_end = {t_end}")
+
+
+def _stop_time(t_end: float) -> float:
+    """Steps continue while t is below this; absorbs round-off in sum(h)."""
+    return t_end - 1e-12 * max(t_end, 1.0)
+
+
 def _check_trajectory(states: np.ndarray) -> None:
     check_density_matrix(
         states, trace_tol=_TRAJECTORY_TOL, herm_tol=_TRAJECTORY_TOL, eigen_tol=_TRAJECTORY_TOL
@@ -162,13 +181,7 @@ def integrate_rk4(
         surfaces as an invariant violation instead of silently producing
         garbage.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_end < 0:
-        raise ValueError(f"t_end must be non-negative, got {t_end}")
-    if t_end > 0 and dt > t_end:
-        raise ValueError(f"dt = {dt} exceeds t_end = {t_end}")
-
+    _check_step(t_end, dt)
     y = np.array(initial, dtype=complex if np.iscomplexobj(initial) else float)
     if check == "auto":
         check = _check_trajectory if y.shape == (2, 2) and np.iscomplexobj(y) else None
@@ -176,7 +189,8 @@ def integrate_rk4(
     times = [0.0]
     states = [y.copy()]
     t = 0.0
-    while t < t_end - 1e-12 * max(t_end, 1.0):
+    stop = _stop_time(t_end)
+    while t < stop:
         h = min(dt, t_end - t)
         k1 = rhs(t, y)
         k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
@@ -192,6 +206,34 @@ def integrate_rk4(
     return Trajectory(times=np.array(times), states=states, step=dt)
 
 
+def _superoperator(jump: np.ndarray) -> np.ndarray:
+    """4x4 matrix of the dissipator of `jump` acting on vec(rho) (row-major)."""
+    basis = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    return np.column_stack([_dissipator(jump, e).ravel() for e in basis])
+
+
+_EXACT_COEFFICIENTS = (-2.0, -1.0, 1.0, 2.0)
+
+
+def _sparse_rows(op: np.ndarray) -> list[tuple[int, float]]:
+    """(column, coefficient) of the single nonzero entry of each row of op.
+
+    Raises ValueError unless every row has exactly one nonzero entry and it
+    is real and one of +-1, +-2: the scalar Lindblad kernel is exact only
+    because each of its superoperator products is a single such product.
+    """
+    rows = []
+    for i, row in enumerate(np.asarray(op)):
+        cols = np.flatnonzero(row)
+        if cols.size != 1 or row[cols[0]] not in _EXACT_COEFFICIENTS:
+            raise ValueError(
+                f"superoperator row {i} is {row}; the scalar kernel needs exactly "
+                "one nonzero entry, real and in +-1, +-2"
+            )
+        rows.append((int(cols[0]), float(row[cols[0]].real)))
+    return rows
+
+
 def integrate_lindblad(
     spec,
     rho0: np.ndarray,
@@ -204,30 +246,59 @@ def integrate_lindblad(
     The generator acts on vec(rho) as down * D + up * U, with the 4x4
     superoperators D and U built by applying the ladder-operator
     dissipators of `lindblad_rhs` to the basis matrices.  Every row of D
-    and U has one nonzero entry, +-1 or +-2, so the matrix-vector product
-    is exact under any summation order and each step rounds exactly as RK4
-    on `lindblad_rhs` does.  The states are checked against the
-    density-matrix bounds (tolerance 1e-8) once, after the last step.
+    and U has one nonzero entry, +-1 or +-2 (checked when the table is
+    built), so entry i of the right side is down*(c*v[j]) + up*(c'*v[j'])
+    for one (column, coefficient) pair of each.  RK4 runs on the four
+    entries as Python complex scalars, with the stage sums and the final
+    combination in the same order as `integrate_rk4`.
+
+    Each state equals, bit for bit, RK4 on `lindblad_rhs`: c*v is exact,
+    as the one-nonzero-per-row matrix product is, and every other product
+    is a real float times a complex, which numpy and Python both round
+    component by component.  Only the sign of a zero may differ.  No
+    product of two non-real complex numbers occurs; those may be fused
+    differently by vectorised numpy loops.  The states are checked against
+    the density-matrix bounds (tolerance 1e-8) once, after the last step.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (2, 2):
         raise ValueError(f"rho0 must be 2x2, got shape {rho0.shape}")
+    _check_step(t_end, dt)
     down, up = _rates(spec, constants)
-    basis = np.eye(4, dtype=complex).reshape(4, 2, 2)
-    # rows 0-3: D = decay by s-, rows 4-7: U = excitation by s+
-    ops = np.vstack([
-        np.column_stack([_dissipator(jump, e).ravel() for e in basis])
-        for jump in (SIGMA_MINUS, SIGMA_PLUS)
-    ])
+    (d0, a0), (d1, a1), (d2, a2), (d3, a3) = _sparse_rows(_superoperator(SIGMA_MINUS))
+    (u0, b0), (u1, b1), (u2, b2), (u3, b3) = _sparse_rows(_superoperator(SIGMA_PLUS))
 
-    def rhs(t, v):
-        w = ops @ v
-        return down * w[:4] + up * w[4:]
+    def rhs(v):
+        return (
+            down * (a0 * v[d0]) + up * (b0 * v[u0]),
+            down * (a1 * v[d1]) + up * (b1 * v[u1]),
+            down * (a2 * v[d2]) + up * (b2 * v[u2]),
+            down * (a3 * v[d3]) + up * (b3 * v[u3]),
+        )
 
-    traj = integrate_rk4(rhs, rho0.ravel(), t_end, dt, check=None)
-    states = traj.states.reshape(-1, 2, 2)
+    entries = rho0.ravel().tolist()  # vec(rho) of every state, one after another
+    y0, y1, y2, y3 = entries
+    times = [0.0]
+    t = 0.0
+    stop = _stop_time(t_end)
+    while t < stop:
+        h = min(dt, t_end - t)
+        half = 0.5 * h
+        p0, p1, p2, p3 = rhs((y0, y1, y2, y3))
+        q0, q1, q2, q3 = rhs((y0 + half * p0, y1 + half * p1, y2 + half * p2, y3 + half * p3))
+        r0, r1, r2, r3 = rhs((y0 + half * q0, y1 + half * q1, y2 + half * q2, y3 + half * q3))
+        s0, s1, s2, s3 = rhs((y0 + h * r0, y1 + h * r1, y2 + h * r2, y3 + h * r3))
+        sixth = h / 6.0
+        y0 = y0 + sixth * (((p0 + 2.0 * q0) + 2.0 * r0) + s0)
+        y1 = y1 + sixth * (((p1 + 2.0 * q1) + 2.0 * r1) + s1)
+        y2 = y2 + sixth * (((p2 + 2.0 * q2) + 2.0 * r2) + s2)
+        y3 = y3 + sixth * (((p3 + 2.0 * q3) + 2.0 * r3) + s3)
+        t += h
+        times.append(t)
+        entries += (y0, y1, y2, y3)
+    states = np.array(entries, dtype=complex).reshape(-1, 2, 2)
     _check_trajectory(states)
-    return Trajectory(times=traj.times, states=states, step=dt)
+    return Trajectory(times=np.array(times), states=states, step=dt)
 
 
 def lindblad_bloch_deviation(

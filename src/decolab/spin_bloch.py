@@ -101,12 +101,13 @@ def bloch_evolve(spec: SpinBathSpec, initial, t, constants: PhysicalConstants = 
     t may be a float, giving shape (3,), or an array of times, giving one
     row per time, shape t.shape + (3,).  Every exponential is math.exp of
     the same float quotient, so a row equals the scalar call at its time.
+    A negative or NaN time raises ValueError.
     """
     p0vec = np.asarray(initial, dtype=float)
     if p0vec.shape != (3,):
         raise ValueError(f"initial must have shape (3,), got {p0vec.shape}")
     times = np.asarray(t, dtype=float)
-    if np.any(times < 0):
+    if not np.all(times >= 0):
         raise ValueError(f"t must be non-negative, got {float(np.min(times))}")
     p_eq = equilibrium_polarization(spec, constants)
     t1, t2 = relaxation_times(spec, constants)
@@ -166,13 +167,14 @@ def density_from_polarization(state) -> np.ndarray:
     Diagonal entries are (1 +/- P_z)/2; the off-diagonals are P_-/2 and
     P_+/2 with P_+- = P_x +/- i P_y (no constant offset enters them).
     A stack of vectors, shape (..., 3), gives a stack of matrices,
-    shape (..., 2, 2).
+    shape (..., 2, 2).  A vector longer than 1, or with a NaN component,
+    raises StateInvariantError.
     """
     p = np.asarray(state, dtype=float)
     if p.shape[-1:] != (3,):
         raise ValueError(f"state must have shape (3,) or (..., 3), got {p.shape}")
     norm = np.sqrt(np.max(np.einsum("...i,...i->...", p, p)))
-    if norm > 1.0 + 1e-10:
+    if not norm <= 1.0 + 1e-10:
         raise StateInvariantError(f"|P| = {norm:.12g} exceeds 1")
     px, py, pz = p[..., 0], p[..., 1], p[..., 2]
     rho = np.empty(p.shape[:-1] + (2, 2), dtype=complex)

@@ -232,6 +232,13 @@ class TestErrorExits:
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_infinite_mass_is_refused(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, FREE_CFG.replace("mass = 1.0", "mass = inf"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--verify", "--out", str(out)]) == 2
+        assert "[free-cat] mass = 'inf' is not a finite number" in capsys.readouterr().err
+        assert not (out / "report.txt").exists()
+
     def test_invalid_config(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[run]\nmode = unknown-thing\n")
         assert main(["run", cfg]) == 2

@@ -1,6 +1,7 @@
 """Config parsing: happy paths, defaults, and every rejection branch."""
 
 import math
+import re
 import textwrap
 
 import pytest
@@ -218,6 +219,15 @@ class TestRejections:
 
     def test_non_numeric_value(self):
         self.reject(FREE_MINIMAL.replace("mass = 1.0", "mass = heavy"), "mass")
+
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "1e999", "nan"])
+    def test_non_finite_value(self, raw):
+        # refused at the boundary, naming section, key and raw value: inf used
+        # to run and pass --verify, nan to fail later as a "packet variance"
+        self.reject(
+            FREE_MINIMAL.replace("mass = 1.0", f"mass = {raw}"),
+            re.escape(f"[free-cat] mass = '{raw}' is not a finite number"),
+        )
 
     def test_time_ordering(self):
         self.reject(

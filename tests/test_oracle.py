@@ -1,13 +1,17 @@
 """Independent numerical routes: adaptive quadrature, RK4, raw master equation."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from decolab.config import load_config
 from decolab.core import ConvergenceError, StateInvariantError
 from decolab.oracle import (
     Trajectory,
+    _sparse_rows,
+    _superoperator,
     integrate_adaptive,
     integrate_lindblad,
     integrate_rk4,
@@ -15,6 +19,7 @@ from decolab.oracle import (
     lindblad_rhs,
 )
 from decolab.spin_bloch import (
+    SIGMA_MINUS,
     SpinBathSpec,
     bloch_evolve,
     bloch_rhs,
@@ -203,19 +208,57 @@ class TestRK4:
         np.testing.assert_allclose(traj.states[-1], final, rtol=0, atol=1e-6)
 
 
+def assert_matches_raw_generator(spec, rho0, t_end, dt):
+    # reference: generic RK4 on the literal 2x2 generator, one call per stage
+    fast = integrate_lindblad(spec, rho0, t_end, dt)
+    reference = integrate_rk4(lambda t, rho: lindblad_rhs(spec, rho), rho0, t_end, dt)
+    assert np.array_equal(fast.times, reference.times)
+    assert np.array_equal(fast.states, reference.states)
+    return fast
+
+
 class TestLindbladIntegration:
     @pytest.mark.parametrize("temperature", [0.0, SPIN.temperature, 1e4])
     def test_superoperator_route_is_bit_identical_to_raw_generator(self, temperature):
-        # reference: RK4 on the literal 2x2 generator, one call per stage
         spec = SpinBathSpec(gamma=1.0, omega=1.0, temperature=temperature)
         t1, _ = relaxation_times(spec)
         rho0 = density_from_polarization([0.4, -0.3, 0.5])
-        fast = integrate_lindblad(spec, rho0, 5.0 * t1, t1 / 200.0)
-        reference = integrate_rk4(
-            lambda t, rho: lindblad_rhs(spec, rho), rho0, 5.0 * t1, t1 / 200.0
-        )
-        assert np.array_equal(fast.times, reference.times)
-        assert np.array_equal(fast.states, reference.states)
+        assert_matches_raw_generator(spec, rho0, 5.0 * t1, t1 / 200.0)
+
+    def test_bit_identical_on_the_shipped_spin_bath(self):
+        # the bath, start and step of `run configs/spin.cfg --verify`
+        config = load_config(pathlib.Path(__file__).parent.parent / "configs" / "spin.cfg")
+        spec = config.spin.spec
+        t1, _ = relaxation_times(spec)
+        rho0 = density_from_polarization(config.spin.initial)
+        traj = assert_matches_raw_generator(spec, rho0, config.t_end, min(t1, config.t_end) / 400.0)
+        assert traj.times.size > 6000
+
+    def test_bit_identical_with_a_short_final_step(self):
+        t1, _ = relaxation_times(SPIN)
+        rho0 = density_from_polarization([0.2, 0.5, -0.1])
+        traj = assert_matches_raw_generator(SPIN, rho0, 3.0 * t1, 0.08 * t1)
+        steps = np.diff(traj.times)
+        assert steps[-1] == pytest.approx(0.5 * steps[0], rel=1e-9)  # 37.5 steps
+
+    def test_nan_in_rho0_fails_the_check(self):
+        rho0 = density_from_polarization([0.2, 0.0, 0.1])
+        rho0[0, 1] = complex(math.nan, 0.0)
+        with pytest.raises(StateInvariantError):
+            integrate_lindblad(SPIN, rho0, 1.0, 0.1)
+
+    @pytest.mark.parametrize(
+        "row",
+        [[-2.0, 1.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0], [0.0, 1.0j, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+        ids=["two-entries", "inexact-coefficient", "imaginary", "empty"],
+    )
+    def test_kernel_table_needs_one_exact_entry_per_row(self, row):
+        # the scalar kernel's exactness rests on this form of D and U
+        op = _superoperator(SIGMA_MINUS)
+        assert _sparse_rows(op) == [(0, -2.0), (1, -1.0), (2, -1.0), (0, 2.0)]
+        op[1] = row
+        with pytest.raises(ValueError, match="row 1"):
+            _sparse_rows(op)
 
     def test_deviation_is_the_max_over_samples(self):
         t1, _ = relaxation_times(SPIN)

@@ -172,6 +172,14 @@ class TestBlochDynamics:
         with pytest.raises(ValueError):
             bloch_evolve(eighth_spec(), initial, np.array([0.0, -1e-3]))
 
+    def test_nan_time_is_rejected(self):
+        # every comparison with NaN is False; a NaN time must not pass as non-negative
+        initial = np.array([0.6, -0.25, 0.2])
+        with pytest.raises(ValueError):
+            bloch_evolve(eighth_spec(), initial, math.nan)
+        with pytest.raises(ValueError):
+            bloch_evolve(eighth_spec(), initial, np.array([0.0, math.nan, 1.0]))
+
     @given(
         px=st.floats(-0.6, 0.6),
         py=st.floats(-0.6, 0.6),
@@ -199,6 +207,12 @@ class TestDensityMatrixMap:
     def test_rejects_outside_ball(self):
         with pytest.raises(StateInvariantError):
             density_from_polarization([1.0, 1.0, 1.0])
+
+    def test_rejects_nan_polarization(self):
+        with pytest.raises(StateInvariantError):
+            density_from_polarization([math.nan, 0.0, 0.0])
+        with pytest.raises(StateInvariantError):
+            density_from_polarization([[0.1, 0.0, 0.0], [0.0, 0.0, math.nan]])
 
     @given(
         px=st.floats(-0.57, 0.57),
