@@ -80,64 +80,3 @@ from .config import RunConfig, load_config, parse_config
 from .runner import RunReport, compare_regimes, run
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CGS",
-    "NATURAL",
-    "CatField",
-    "CatSpec",
-    "ConfigError",
-    "ConvergenceError",
-    "FieldRatio",
-    "FreeParticleLimitReport",
-    "OscillatorSpec",
-    "PhysicalConstants",
-    "QuadratureResult",
-    "RegimeBreakdownError",
-    "RegimeValidityWarning",
-    "ReservoirKinematics",
-    "ReservoirSpec",
-    "RunConfig",
-    "RunReport",
-    "SpinBathSpec",
-    "StateInvariantError",
-    "Trajectory",
-    "attenuation_decoupled_high_t",
-    "attenuation_exact",
-    "attenuation_from_field",
-    "attenuation_high_t",
-    "attenuation_low_t",
-    "attenuation_oscillator",
-    "bloch_evolve",
-    "bloch_rhs",
-    "cat_probability",
-    "classicality_ratio",
-    "coherent_width",
-    "compare_regimes",
-    "decoupled_decoherence_time",
-    "density_from_polarization",
-    "equilibrium_polarization",
-    "free_kinematics",
-    "free_particle_limit_check",
-    "high_t_decoherence_time",
-    "integrate_adaptive",
-    "integrate_lindblad",
-    "integrate_rk4",
-    "lindblad_rhs",
-    "load_config",
-    "low_t_time_constant",
-    "magnetization",
-    "minimum_attenuation",
-    "nbar",
-    "normalization_constant",
-    "ohmic_high_t_kinematics",
-    "packet_variance",
-    "parse_config",
-    "polarization_from_density",
-    "relaxation_times",
-    "revival_times",
-    "run",
-    "single_packet_prob",
-    "tabulated_kinematics",
-    "thermal_de_broglie",
-]

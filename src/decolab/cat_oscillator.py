@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NATURAL, CatSpec, PhysicalConstants
+from .core import NATURAL, CatSpec, PhysicalConstants, require_finite
 from .cat_free import attenuation_high_t, high_t_decoherence_time
 
 
@@ -35,6 +35,7 @@ class OscillatorSpec:
     temperature: float
 
     def __post_init__(self):
+        require_finite(self)
         if self.mass <= 0:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if self.omega <= 0:

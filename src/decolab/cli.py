@@ -10,12 +10,11 @@ verification check passed.
 
 import argparse
 import sys
-import warnings
 
 from .config import load_config
 from .core import ConfigError, RegimeBreakdownError
 from .output import FORMATS
-from .runner import compare_regimes, run
+from .runner import compare_regimes, recorded_warnings, run
 from .selftest import run_selftest
 
 
@@ -43,6 +42,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_checks(prefix: str, checks) -> None:
+    # one line per check; the benchmark parses this format
+    for check in checks:
+        status = "PASS" if check.passed else "FAIL"
+        print(f"{prefix} {check.name}: {status} "
+              f"(deviation {check.deviation:.3e}, tolerance {check.tolerance:.3e})")
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config).with_overrides(
         verify=args.verify, output_dir=args.out, fmt=args.fmt
@@ -52,39 +59,26 @@ def _cmd_run(args) -> int:
     for text in report.warnings:
         print(f"warning: {text}", file=sys.stderr)
     if report.verification is not None:
-        for check in report.verification:
-            status = "PASS" if check.passed else "FAIL"
-            print(f"verify {check.name}: {status} "
-                  f"(deviation {check.deviation:.3e}, tolerance {check.tolerance:.3e})")
-    return report.exit_code()
+        _print_checks("verify", report.verification)
+    return 0 if report.passed else 1
 
 
 def _cmd_compare(args) -> int:
     config = load_config(args.config)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with recorded_warnings() as texts:
         path = compare_regimes(config)
-    seen = []
-    for w in caught:
-        text = str(w.message)
-        if text not in seen:
-            seen.append(text)
-            print(f"warning: {text}", file=sys.stderr)
+    for text in texts:
+        print(f"warning: {text}", file=sys.stderr)
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_selftest() -> int:
     results = run_selftest()
-    failed = 0
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        if not res.passed:
-            failed += 1
-        print(f"selftest {res.name}: {status} "
-              f"(deviation {res.deviation:.3e}, tolerance {res.tolerance:.3e})")
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 1
+    _print_checks("selftest", results)
+    passed = sum(check.passed for check in results)
+    print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 1
 
 
 def main(argv=None) -> int:

@@ -4,20 +4,22 @@ A config names exactly one mode (free-cat, oscillator-cat, or spin) in its
 [run] section and supplies that mode's parameter block in a section of the
 same name.  [time] fixes the sampling grid.  Unknown sections or keys are
 rejected rather than ignored so typos fail loudly, and every validation
-error names the offending section and key.
+error names the offending section and key.  Each mode's params class
+carries its name and parser (MODES maps one to the other); RunConfig.params
+holds the parsed block, and RunConfig.mode is read from its class.
 """
 
 import configparser
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import ClassVar
 
 from .core import CGS, NATURAL, CatSpec, ConfigError, PhysicalConstants, ReservoirSpec
 from .cat_oscillator import OscillatorSpec
 from .output import FORMATS
 from .spin_bloch import SpinBathSpec
 
-MODES = ("free-cat", "oscillator-cat", "spin")
 REGIMES = ("free", "ohmic-high-t", "low-t", "decoupled-high-t")
 
 
@@ -30,23 +32,118 @@ class FreeCatParams:
     x_min: float | None = None
     x_max: float | None = None
     x_samples: int = 2048
+    mode: ClassVar[str] = "free-cat"
+
+    @classmethod
+    def parse(cls, sec: "_Section", constants: PhysicalConstants) -> "FreeCatParams":
+        cat = CatSpec(
+            mass=sec.get_float("mass", required=True),
+            sigma=sec.get_float("sigma", required=True),
+            d=sec.get_float("d", required=True),
+        )
+        regime = sec.get_str("regime", required=True, choices=REGIMES)
+
+        needs_temperature = regime in ("ohmic-high-t", "decoupled-high-t")
+        needs_coupling = regime in ("low-t", "decoupled-high-t")
+        uses = {
+            "temperature": needs_temperature,
+            "gamma": needs_coupling or regime == "ohmic-high-t",
+            "zeta": needs_coupling,
+        }
+        for key, used in uses.items():
+            if sec.has(key) and not used:
+                raise ConfigError(f"[{sec.name}] key {key!r} is not used by regime {regime!r}")
+
+        temperature = sec.get_float("temperature", default=0.0) if needs_temperature else 0.0
+        if needs_temperature and temperature <= 0:
+            raise ConfigError(f"[{sec.name}] regime {regime!r} needs a positive temperature")
+        gamma = sec.get_float("gamma", default=0.0)
+        zeta = sec.get_float("zeta") if sec.has("zeta") else None
+        if needs_coupling and gamma == 0.0 and zeta is None:
+            raise ConfigError(f"[{sec.name}] regime {regime!r} needs gamma or zeta")
+
+        x_min = sec.get_float("x_min") if sec.has("x_min") else None
+        x_max = sec.get_float("x_max") if sec.has("x_max") else None
+        if (x_min is None) != (x_max is None):
+            raise ConfigError(f"[{sec.name}] x_min and x_max must be given together")
+        if x_min is not None and not x_min < x_max:
+            raise ConfigError(f"[{sec.name}] needs x_min < x_max, got [{x_min}, {x_max}]")
+
+        snapshots = sec.get_int("snapshots", default=5)
+        if snapshots < 0:
+            raise ConfigError(f"[{sec.name}] snapshots must be non-negative, got {snapshots}")
+        x_samples = sec.get_int("x_samples", default=2048)
+        if x_samples < 2:
+            raise ConfigError(f"[{sec.name}] x_samples must be at least 2, got {x_samples}")
+
+        return cls(
+            cat=cat,
+            reservoir=ReservoirSpec(gamma=gamma, temperature=temperature, zeta=zeta),
+            regime=regime,
+            snapshots=snapshots,
+            x_min=x_min,
+            x_max=x_max,
+            x_samples=x_samples,
+        )
 
 
 @dataclass(frozen=True)
 class OscillatorParams:
     spec: OscillatorSpec
     n_revivals: int | None = None
+    mode: ClassVar[str] = "oscillator-cat"
+
+    @classmethod
+    def parse(cls, sec: "_Section", constants: PhysicalConstants) -> "OscillatorParams":
+        omega = sec.get_float("omega", required=True)
+        spec = OscillatorSpec(
+            mass=sec.get_float("mass", required=True),
+            omega=omega,
+            d=sec.get_float("d", required=True),
+            temperature=_resolve_temperature(sec, omega, constants),
+        )
+        n_revivals = sec.get_int("n_revivals") if sec.has("n_revivals") else None
+        if n_revivals is not None and n_revivals < 1:
+            raise ConfigError(f"[{sec.name}] n_revivals must be positive, got {n_revivals}")
+        return cls(spec=spec, n_revivals=n_revivals)
 
 
 @dataclass(frozen=True)
 class SpinParams:
     spec: SpinBathSpec
     initial: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    mode: ClassVar[str] = "spin"
+
+    @classmethod
+    def parse(cls, sec: "_Section", constants: PhysicalConstants) -> "SpinParams":
+        omega = sec.get_float("omega", required=True)
+        has_g = sec.has("g_n")
+        has_mu = sec.has("mu0")
+        if has_g != has_mu:
+            raise ConfigError(f"[{sec.name}] g_n and mu0 must be given together")
+        spec = SpinBathSpec(
+            gamma=sec.get_float("gamma", required=True),
+            omega=omega,
+            temperature=_resolve_temperature(sec, omega, constants),
+            g_n=sec.get_float("g_n") if has_g else None,
+            mu0=sec.get_float("mu0") if has_mu else None,
+        )
+        initial = (
+            sec.get_float("p_x", default=0.0),
+            sec.get_float("p_y", default=0.0),
+            sec.get_float("p_z", default=0.0),
+        )
+        if sum(v * v for v in initial) > 1.0 + 1e-10:
+            raise ConfigError(f"[{sec.name}] initial polarization {initial} lies outside the unit ball")
+        return cls(spec=spec, initial=initial)
+
+
+MODES = {params.mode: params for params in (FreeCatParams, OscillatorParams, SpinParams)}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    mode: str
+    params: FreeCatParams | OscillatorParams | SpinParams
     unit_system: str = "natural"
     verify: bool = False
     fmt: str = "delimited-text"
@@ -54,28 +151,17 @@ class RunConfig:
     t_start: float = 0.0
     t_end: float = 1.0
     n_samples: int = 512
-    free_cat: FreeCatParams | None = None
-    oscillator: OscillatorParams | None = None
-    spin: SpinParams | None = None
     source_text: str = ""
+
+    @property
+    def mode(self) -> str:
+        return self.params.mode
 
     @property
     def constants(self) -> PhysicalConstants:
         return NATURAL if self.unit_system == "natural" else CGS
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        blocks = {
-            "free-cat": self.free_cat,
-            "oscillator-cat": self.oscillator,
-            "spin": self.spin,
-        }
-        present = [name for name, block in blocks.items() if block is not None]
-        if present != [self.mode]:
-            raise ConfigError(
-                f"exactly the {self.mode!r} parameter block must be present, found {present}"
-            )
         if not (0.0 <= self.t_start < self.t_end):
             raise ConfigError(
                 f"time grid needs 0 <= start < end, got [{self.t_start}, {self.t_end}]"
@@ -88,15 +174,10 @@ class RunConfig:
             raise ConfigError(f"unit_system must be 'natural' or 'cgs', got {self.unit_system!r}")
 
     def with_overrides(self, verify=None, output_dir=None, fmt=None) -> "RunConfig":
-        """Apply command-line overrides without touching the config identity."""
-        cfg = self
-        if verify is not None:
-            cfg = replace(cfg, verify=verify)
-        if output_dir is not None:
-            cfg = replace(cfg, output_dir=output_dir)
-        if fmt is not None:
-            cfg = replace(cfg, fmt=fmt)
-        return cfg
+        """Apply the command-line overrides that were given (not None) without
+        touching the config identity."""
+        given = {"verify": verify, "output_dir": output_dir, "fmt": fmt}
+        return replace(self, **{key: value for key, value in given.items() if value is not None})
 
 
 class _Section:
@@ -107,15 +188,16 @@ class _Section:
         self._items = dict(items)
         self._seen = set()
 
-    def _raw(self, key):
+    def _raw(self, key, required: bool = False):
         self._seen.add(key)
-        return self._items.get(key)
+        raw = self._items.get(key)
+        if raw is None and required:
+            raise ConfigError(f"[{self.name}] is missing required key {key!r}")
+        return raw
 
     def get_float(self, key: str, default=None, required: bool = False):
-        raw = self._raw(key)
+        raw = self._raw(key, required)
         if raw is None:
-            if required:
-                raise ConfigError(f"[{self.name}] is missing required key {key!r}")
             return default
         try:
             value = float(raw)
@@ -126,10 +208,8 @@ class _Section:
         return value
 
     def get_int(self, key: str, default=None, required: bool = False):
-        raw = self._raw(key)
+        raw = self._raw(key, required)
         if raw is None:
-            if required:
-                raise ConfigError(f"[{self.name}] is missing required key {key!r}")
             return default
         try:
             return int(raw)
@@ -137,10 +217,8 @@ class _Section:
             raise ConfigError(f"[{self.name}] {key} = {raw!r} is not an integer") from None
 
     def get_str(self, key: str, default=None, required: bool = False, choices=None):
-        raw = self._raw(key)
+        raw = self._raw(key, required)
         if raw is None:
-            if required:
-                raise ConfigError(f"[{self.name}] is missing required key {key!r}")
             return default
         if choices is not None and raw not in choices:
             raise ConfigError(f"[{self.name}] {key} = {raw!r}; expected one of {choices}")
@@ -185,95 +263,6 @@ def _resolve_temperature(sec: _Section, omega: float, constants: PhysicalConstan
     raise ConfigError(f"[{sec.name}] needs either temperature or hbar_omega_over_kt")
 
 
-def _parse_free_cat(sec: _Section) -> FreeCatParams:
-    cat = CatSpec(
-        mass=sec.get_float("mass", required=True),
-        sigma=sec.get_float("sigma", required=True),
-        d=sec.get_float("d", required=True),
-    )
-    regime = sec.get_str("regime", required=True, choices=REGIMES)
-
-    needs_temperature = regime in ("ohmic-high-t", "decoupled-high-t")
-    needs_coupling = regime in ("low-t", "decoupled-high-t")
-    uses = {
-        "temperature": needs_temperature,
-        "gamma": needs_coupling or regime == "ohmic-high-t",
-        "zeta": needs_coupling,
-    }
-    for key, used in uses.items():
-        if sec.has(key) and not used:
-            raise ConfigError(f"[{sec.name}] key {key!r} is not used by regime {regime!r}")
-
-    temperature = sec.get_float("temperature", default=0.0) if needs_temperature else 0.0
-    if needs_temperature and temperature <= 0:
-        raise ConfigError(f"[{sec.name}] regime {regime!r} needs a positive temperature")
-    gamma = sec.get_float("gamma", default=0.0)
-    zeta = sec.get_float("zeta") if sec.has("zeta") else None
-    if needs_coupling and gamma == 0.0 and zeta is None:
-        raise ConfigError(f"[{sec.name}] regime {regime!r} needs gamma or zeta")
-
-    x_min = sec.get_float("x_min") if sec.has("x_min") else None
-    x_max = sec.get_float("x_max") if sec.has("x_max") else None
-    if (x_min is None) != (x_max is None):
-        raise ConfigError(f"[{sec.name}] x_min and x_max must be given together")
-    if x_min is not None and not x_min < x_max:
-        raise ConfigError(f"[{sec.name}] needs x_min < x_max, got [{x_min}, {x_max}]")
-
-    snapshots = sec.get_int("snapshots", default=5)
-    if snapshots < 0:
-        raise ConfigError(f"[{sec.name}] snapshots must be non-negative, got {snapshots}")
-    x_samples = sec.get_int("x_samples", default=2048)
-    if x_samples < 2:
-        raise ConfigError(f"[{sec.name}] x_samples must be at least 2, got {x_samples}")
-
-    return FreeCatParams(
-        cat=cat,
-        reservoir=ReservoirSpec(gamma=gamma, temperature=temperature, zeta=zeta),
-        regime=regime,
-        snapshots=snapshots,
-        x_min=x_min,
-        x_max=x_max,
-        x_samples=x_samples,
-    )
-
-
-def _parse_oscillator(sec: _Section, constants: PhysicalConstants) -> OscillatorParams:
-    omega = sec.get_float("omega", required=True)
-    spec = OscillatorSpec(
-        mass=sec.get_float("mass", required=True),
-        omega=omega,
-        d=sec.get_float("d", required=True),
-        temperature=_resolve_temperature(sec, omega, constants),
-    )
-    n_revivals = sec.get_int("n_revivals") if sec.has("n_revivals") else None
-    if n_revivals is not None and n_revivals < 1:
-        raise ConfigError(f"[{sec.name}] n_revivals must be positive, got {n_revivals}")
-    return OscillatorParams(spec=spec, n_revivals=n_revivals)
-
-
-def _parse_spin(sec: _Section, constants: PhysicalConstants) -> SpinParams:
-    omega = sec.get_float("omega", required=True)
-    has_g = sec.has("g_n")
-    has_mu = sec.has("mu0")
-    if has_g != has_mu:
-        raise ConfigError(f"[{sec.name}] g_n and mu0 must be given together")
-    spec = SpinBathSpec(
-        gamma=sec.get_float("gamma", required=True),
-        omega=omega,
-        temperature=_resolve_temperature(sec, omega, constants),
-        g_n=sec.get_float("g_n") if has_g else None,
-        mu0=sec.get_float("mu0") if has_mu else None,
-    )
-    initial = (
-        sec.get_float("p_x", default=0.0),
-        sec.get_float("p_y", default=0.0),
-        sec.get_float("p_z", default=0.0),
-    )
-    if sum(v * v for v in initial) > 1.0 + 1e-10:
-        raise ConfigError(f"[{sec.name}] initial polarization {initial} lies outside the unit ball")
-    return SpinParams(spec=spec, initial=initial)
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document.
 
@@ -294,7 +283,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("missing required [run] section")
 
     run = _Section("run", cp["run"])
-    mode = run.get_str("mode", required=True, choices=MODES)
+    mode = run.get_str("mode", required=True, choices=tuple(MODES))
     unit_system = run.get_str("unit_system", default="natural", choices=("natural", "cgs"))
     verify = run.get_bool("verify", default=False)
     fmt = run.get_str("format", default="delimited-text", choices=FORMATS)
@@ -302,15 +291,13 @@ def parse_config(text: str) -> RunConfig:
     run.reject_leftovers()
     constants = NATURAL if unit_system == "natural" else CGS
 
-    t_start, t_end, n_samples = 0.0, None, 512
-    if "time" in cp:
-        time_sec = _Section("time", cp["time"])
-        t_start = time_sec.get_float("start", default=0.0)
-        t_end = time_sec.get_float("end", required=True)
-        n_samples = time_sec.get_int("samples", default=512)
-        time_sec.reject_leftovers()
-    else:
+    if "time" not in cp:
         raise ConfigError("missing required [time] section")
+    time_sec = _Section("time", cp["time"])
+    t_start = time_sec.get_float("start", default=0.0)
+    t_end = time_sec.get_float("end", required=True)
+    n_samples = time_sec.get_int("samples", default=512)
+    time_sec.reject_leftovers()
 
     extra_modes = [m for m in MODES if m != mode and m in cp]
     if extra_modes:
@@ -322,17 +309,11 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"mode is {mode!r} but the [{mode}] section is missing")
 
     sec = _Section(mode, cp[mode])
-    free_cat = oscillator = spin = None
-    if mode == "free-cat":
-        free_cat = _parse_free_cat(sec)
-    elif mode == "oscillator-cat":
-        oscillator = _parse_oscillator(sec, constants)
-    else:
-        spin = _parse_spin(sec, constants)
+    params = MODES[mode].parse(sec, constants)
     sec.reject_leftovers()
 
     return RunConfig(
-        mode=mode,
+        params=params,
         unit_system=unit_system,
         verify=verify,
         fmt=fmt,
@@ -340,9 +321,6 @@ def parse_config(text: str) -> RunConfig:
         t_start=t_start,
         t_end=t_end,
         n_samples=n_samples,
-        free_cat=free_cat,
-        oscillator=oscillator,
-        spin=spin,
         source_text=text,
     )
 

@@ -7,7 +7,7 @@ selects between the two; every function that needs hbar or k_B takes one.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 KB_CGS = 1.380649e-16                      # erg/K
 HBAR_CGS = 6.62607015e-27 / (2.0 * math.pi)  # erg s
@@ -35,6 +35,27 @@ class RegimeValidityWarning(UserWarning):
     These warn rather than fail: probing the edge of a regime is a
     legitimate use, but the result should not be trusted blindly.
     """
+
+
+@dataclass(frozen=True)
+class Check:
+    """A cross-check's worst deviation and its bound; a NaN deviation fails."""
+
+    name: str
+    deviation: float
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return self.deviation <= self.tolerance
+
+
+def require_finite(record) -> None:
+    """Raise ValueError naming the first field of a spec record that is set but not finite."""
+    for item in fields(record):
+        value = getattr(record, item.name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{item.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +99,7 @@ class CatSpec:
     d: float
 
     def __post_init__(self):
+        require_finite(self)
         if self.mass <= 0:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if self.sigma <= 0:
@@ -98,6 +120,7 @@ class ReservoirSpec:
     zeta: float | None = None
 
     def __post_init__(self):
+        require_finite(self)
         if self.gamma < 0:
             raise ValueError(f"gamma must be non-negative, got {self.gamma}")
         if self.temperature < 0:

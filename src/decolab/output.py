@@ -76,8 +76,3 @@ def write_sections(path: Path, sections: dict) -> None:
         for key, value in entries.items():
             lines.append(f"{key} = {value}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_table(path: Path) -> np.ndarray:
-    """Load a delimited-text table back into a float array (test convenience)."""
-    return np.loadtxt(path, delimiter=",", comments="#", ndmin=2)

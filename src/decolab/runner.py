@@ -4,21 +4,24 @@ Every run writes its data files plus a structured-text report.txt.  With
 verification enabled the report also carries the oracle cross-checks for
 the mode (quadrature normalization and field-ratio recovery for cat runs,
 master-equation integration for spin runs), and the run only counts as
-passed if every check lands inside its tolerance.
+passed if every check lands inside its tolerance.  `run` picks the mode's
+runner by the type of `config.params`.  `selftest` computes its
+normalization and ratio-identity checks with the functions and tolerances
+defined here, and its Lindblad check with `oracle.lindblad_bloch_deviation`.
 """
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import cat_free, cat_oscillator, oracle, spin_bloch
-from .config import RunConfig
-from .core import ConfigError
+from .config import FreeCatParams, OscillatorParams, RunConfig, SpinParams
+from .core import CatSpec, Check, ConfigError
 from .output import (
-    STRUCTURED,
     config_hash,
     data_extension,
     format_float,
@@ -36,20 +39,8 @@ LINDBLAD_TOL = 1e-6
 QUADRATURE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class VerificationCheck:
-    name: str
-    deviation: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.deviation <= self.tolerance
-
-
 @dataclass
 class RunReport:
-    mode: str
     output_dir: str
     files: list
     warnings: list
@@ -61,17 +52,19 @@ class RunReport:
             return True
         return all(check.passed for check in self.verification)
 
-    def exit_code(self) -> int:
-        return 0 if self.passed else 1
 
-
-def _collect_warnings(caught) -> list:
-    seen = []
+@contextmanager
+def recorded_warnings():
+    """Yield a list that, once the block exits, holds each distinct warning
+    message raised inside it, in the order first seen."""
+    texts = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield texts
     for w in caught:
         text = str(w.message)
-        if text not in seen:
-            seen.append(text)
-    return seen
+        if text not in texts:
+            texts.append(text)
 
 
 def _time_grid(config: RunConfig) -> np.ndarray:
@@ -87,6 +80,15 @@ def _base_meta(config: RunConfig, kind: str) -> dict:
     }
 
 
+def _write_data(config: RunConfig, stem: str, kind: str, columns: list, rows, **meta) -> str:
+    """Write one data table into the output directory in the run's format,
+    its metadata the base entries followed by `meta`; returns the file name."""
+    name = stem + data_extension(config.fmt)
+    meta = {**_base_meta(config, kind), **meta}
+    write_table(Path(config.output_dir) / name, meta, columns, rows, config.fmt)
+    return name
+
+
 def _kinematics_for(params, constants):
     """Reservoir kinematics for regimes that define the full density, else None."""
     if params.regime == "free":
@@ -98,8 +100,7 @@ def _kinematics_for(params, constants):
     return None
 
 
-def _attenuation_curve(params, constants, times) -> np.ndarray:
-    kin = _kinematics_for(params, constants)
+def _attenuation_curve(params, kin, constants, times) -> np.ndarray:
     if kin is not None:
         return np.array([
             cat_free.attenuation_exact(params.cat, kin, float(t)) for t in times
@@ -123,25 +124,19 @@ def _snapshot_grid(params, w2: float) -> np.ndarray:
     return cat_free.default_grid(params.cat, w2, params.x_samples)
 
 
-def _run_free_cat(config: RunConfig, out: Path, notes: list):
-    params = config.free_cat
+def _run_free_cat(config: RunConfig):
+    params = config.params
     constants = config.constants
     times = _time_grid(config)
-    ext = data_extension(config.fmt)
-    files = []
-
-    curve = _attenuation_curve(params, constants, times)
-    meta = _base_meta(config, "attenuation-curve")
-    meta["regime"] = params.regime
-    name = f"attenuation{ext}"
-    write_table(out / name, meta, ["t", "a"], np.column_stack([times, curve]), config.fmt)
-    files.append(name)
 
     kin = _kinematics_for(params, constants)
+    curve = _attenuation_curve(params, kin, constants, times)
+    files = [_write_data(config, "attenuation", "attenuation-curve", ["t", "a"],
+                         np.column_stack([times, curve]), regime=params.regime)]
+
     snap_times = np.linspace(config.t_start, config.t_end, params.snapshots) if params.snapshots else []
-    fields = []
     if kin is None and params.snapshots:
-        notes.append(
+        warnings.warn(
             f"regime {params.regime!r} defines only the attenuation factor, not the "
             "coordinate-space density; snapshots skipped"
         )
@@ -151,85 +146,86 @@ def _run_free_cat(config: RunConfig, out: Path, notes: list):
             field = cat_free.cat_probability(
                 params.cat, kin, float(t), _snapshot_grid(params, w2)
             )
-            fields.append(field)
-            meta = _base_meta(config, "cat-field")
-            meta["regime"] = params.regime
-            meta["time"] = format_float(t)
-            meta["w2"] = format_float(field.w2)
-            name = f"catfield_{i:02d}{ext}"
-            write_table(
-                out / name,
-                meta,
-                ["x", "P_total", "P1", "P2", "P_interference_term"],
-                np.column_stack([field.x, field.total, field.p1, field.p2, field.interference]),
-                config.fmt,
-            )
-            files.append(name)
+            columns = ["x", "P_total", "P1", "P2", "P_interference_term"]
+            rows = np.column_stack([field.x, field.total, field.p1, field.p2, field.interference])
+            files.append(_write_data(
+                config, f"catfield_{i:02d}", "cat-field", columns, rows,
+                regime=params.regime, time=format_float(t), w2=format_float(field.w2),
+            ))
 
     checks = None
     if config.verify:
         checks = [_bounds_check(curve)]
-        if kin is not None and fields:
-            checks.extend(_field_checks(params, kin, snap_times))
+        if kin is not None and params.snapshots:
+            checks.extend(_field_checks(params.cat, kin, snap_times))
     return files, checks
 
 
-def _bounds_check(curve: np.ndarray) -> VerificationCheck:
+def _bounds_check(curve: np.ndarray) -> Check:
     # a must stay inside (0, 1]; deviation is the worst excursion
     dev = max(float(np.max(curve)) - 1.0, 0.0)
     if np.any(curve <= 0.0):
         dev = max(dev, float(np.max(-curve)) + 1e-9)
-    return VerificationCheck("attenuation_bounds", dev, BOUNDS_TOL)
+    return Check("attenuation_bounds", dev, BOUNDS_TOL)
 
 
-def _field_checks(params, kin, snap_times) -> list:
-    spec = params.cat
+def _cat_integral(spec: CatSpec, pw, f) -> float:
+    # +-(d/2 + 10 w) holds both packets to far below the quadrature tolerance
+    half = spec.d / 2.0 + 10.0 * math.sqrt(pw.w2)
+    return oracle.integrate_adaptive(f, -half, half, tol=QUADRATURE_TOL).value
+
+
+def normalization_deviation(spec: CatSpec, pw) -> float:
+    """|integral of P(x) dx - 1| by adaptive quadrature, for the density whose
+    scalar evaluators `cat_free.cat_pointwise` returned as pw."""
+    return abs(_cat_integral(spec, pw, pw.total) - 1.0)
+
+
+def ratio_identity_deviation(spec: CatSpec, kin, t: float) -> float:
+    """Gap between a(t) recovered from the sampled field and the closed form,
+    relative to the closed form (absolute once it is below 1e-100)."""
+    field = cat_free.cat_probability(spec, kin, t)
+    recovered = cat_free.attenuation_from_field(field).value
+    exact = cat_free.attenuation_exact(spec, kin, t)
+    if exact > 1e-100:
+        return abs(recovered - exact) / exact
+    return abs(recovered - exact)
+
+
+def _field_checks(spec: CatSpec, kin, snap_times) -> list:
     norm_devs = []
     ratio_devs = []
-    term_integrals = {"P1": [], "P2": [], "interference": []}
+    term_integrals = []  # one row per snapshot: P1, P2 and the interference term
     for t in snap_times:
         pw = cat_free.cat_pointwise(spec, kin, float(t))
-        half = spec.d / 2.0 + 10.0 * math.sqrt(pw.w2)
-        total = oracle.integrate_adaptive(pw.total, -half, half, tol=QUADRATURE_TOL)
-        norm_devs.append(abs(total.value - 1.0))
-        term_integrals["P1"].append(oracle.integrate_adaptive(pw.p1, -half, half, tol=QUADRATURE_TOL).value)
-        term_integrals["P2"].append(oracle.integrate_adaptive(pw.p2, -half, half, tol=QUADRATURE_TOL).value)
-        term_integrals["interference"].append(
-            2.0 * oracle.integrate_adaptive(pw.interference, -half, half, tol=QUADRATURE_TOL).value
-        )
-
-        field = cat_free.cat_probability(spec, kin, float(t))
-        recovered = cat_free.attenuation_from_field(field).value
-        exact = cat_free.attenuation_exact(spec, kin, float(t))
-        if exact > 1e-100:
-            ratio_devs.append(abs(recovered - exact) / exact)
-        else:
-            ratio_devs.append(abs(recovered - exact))
+        norm_devs.append(normalization_deviation(spec, pw))
+        term_integrals.append([
+            _cat_integral(spec, pw, pw.p1),
+            _cat_integral(spec, pw, pw.p2),
+            2.0 * _cat_integral(spec, pw, pw.interference),
+        ])
+        ratio_devs.append(ratio_identity_deviation(spec, kin, float(t)))
 
     # np.max and np.ptp keep a NaN, where Python's max and min can drop it
-    invariance_dev = float(np.max([np.ptp(vals) for vals in term_integrals.values()]))
+    invariance_dev = float(np.max(np.ptp(term_integrals, axis=0)))
     return [
-        VerificationCheck("normalization", float(np.max(norm_devs)), NORMALIZATION_TOL),
-        VerificationCheck("term_time_invariance", invariance_dev, TERM_INVARIANCE_TOL),
-        VerificationCheck("attenuation_ratio_identity", float(np.max(ratio_devs)), RATIO_TOL),
+        Check("normalization", float(np.max(norm_devs)), NORMALIZATION_TOL),
+        Check("term_time_invariance", invariance_dev, TERM_INVARIANCE_TOL),
+        Check("attenuation_ratio_identity", float(np.max(ratio_devs)), RATIO_TOL),
     ]
 
 
-def _run_oscillator(config: RunConfig, out: Path, notes: list):
-    params = config.oscillator
+def _run_oscillator(config: RunConfig):
+    params = config.params
     spec = params.spec
     constants = config.constants
     times = _time_grid(config)
-    ext = data_extension(config.fmt)
-    files = []
 
     curve = np.array([
         cat_oscillator.attenuation_oscillator(spec, float(t), constants) for t in times
     ])
-    meta = _base_meta(config, "attenuation-curve")
-    name = f"attenuation{ext}"
-    write_table(out / name, meta, ["t", "a"], np.column_stack([times, curve]), config.fmt)
-    files.append(name)
+    rows = np.column_stack([times, curve])
+    files = [_write_data(config, "attenuation", "attenuation-curve", ["t", "a"], rows)]
 
     if params.n_revivals is not None:
         n = params.n_revivals
@@ -237,10 +233,9 @@ def _run_oscillator(config: RunConfig, out: Path, notes: list):
         # revivals inside the sampled window
         n = max(0, int(math.floor(spec.omega * config.t_end / math.pi + 0.5)))
     revivals = cat_oscillator.revival_times(spec, n)
-    meta = _base_meta(config, "revival-times")
-    name = f"revivals{ext}"
-    write_table(out / name, meta, ["t_revival"], revivals.reshape(-1, 1), config.fmt)
-    files.append(name)
+    files.append(
+        _write_data(config, "revivals", "revival-times", ["t_revival"], revivals.reshape(-1, 1))
+    )
 
     checks = None
     if config.verify:
@@ -250,20 +245,18 @@ def _run_oscillator(config: RunConfig, out: Path, notes: list):
                 abs(cat_oscillator.attenuation_oscillator(spec, float(t), constants) - 1.0)
                 for t in revivals
             ]))
-            checks.append(VerificationCheck("revival_unity", dev, REVIVAL_TOL))
+            checks.append(Check("revival_unity", dev, REVIVAL_TOL))
         floor = cat_oscillator.minimum_attenuation(spec, constants)
         dev = abs(cat_oscillator.attenuation_oscillator(spec, 0.0, constants) - floor)
-        checks.append(VerificationCheck("minimum_closed_form", dev, MINIMUM_TOL))
+        checks.append(Check("minimum_closed_form", dev, MINIMUM_TOL))
     return files, checks
 
 
-def _run_spin(config: RunConfig, out: Path, notes: list):
-    params = config.spin
+def _run_spin(config: RunConfig):
+    params = config.params
     spec = params.spec
     constants = config.constants
     times = _time_grid(config)
-    ext = data_extension(config.fmt)
-    files = []
 
     initial = np.array(params.initial)
     p = spin_bloch.bloch_evolve(spec, initial, times, constants)
@@ -274,16 +267,8 @@ def _run_spin(config: RunConfig, out: Path, notes: list):
         times, p, rho[:, 0, 0].real, rho[:, 1, 1].real,
         np.hypot(rho[:, 0, 1].real, rho[:, 0, 1].imag),
     ])
-    meta = _base_meta(config, "bloch-trajectory")
-    name = f"bloch_trajectory{ext}"
-    write_table(
-        out / name,
-        meta,
-        ["t", "P_x", "P_y", "P_z", "rho_pp", "rho_mm", "abs_rho_pm"],
-        rows,
-        config.fmt,
-    )
-    files.append(name)
+    columns = ["t", "P_x", "P_y", "P_z", "rho_pp", "rho_mm", "abs_rho_pm"]
+    files = [_write_data(config, "bloch_trajectory", "bloch-trajectory", columns, rows)]
 
     t1, t2 = spin_bloch.relaxation_times(spec, constants)
     summary = {
@@ -294,7 +279,7 @@ def _run_spin(config: RunConfig, out: Path, notes: list):
     }
     if spec.g_n is not None and spec.mu0 is not None:
         summary["m0"] = format_float(spin_bloch.saturation_magnetization(spec, constants))
-    write_sections(out / "equilibrium.txt", {
+    write_sections(Path(config.output_dir) / "equilibrium.txt", {
         "meta": _base_meta(config, "equilibrium-summary"),
         "equilibrium": summary,
     })
@@ -304,27 +289,21 @@ def _run_spin(config: RunConfig, out: Path, notes: list):
     if config.verify:
         dt = min(t1, config.t_end) / 400.0
         dev = oracle.lindblad_bloch_deviation(spec, initial, config.t_end, dt, constants)
-        checks = [VerificationCheck("lindblad_vs_analytic", dev, LINDBLAD_TOL)]
+        checks = [Check("lindblad_vs_analytic", dev, LINDBLAD_TOL)]
     return files, checks
+
+
+_RUNNERS = {FreeCatParams: _run_free_cat, OscillatorParams: _run_oscillator, SpinParams: _run_spin}
 
 
 def run(config: RunConfig) -> RunReport:
     """Execute one configuration and write all of its outputs."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    notes = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if config.mode == "free-cat":
-            files, checks = _run_free_cat(config, out, notes)
-        elif config.mode == "oscillator-cat":
-            files, checks = _run_oscillator(config, out, notes)
-        else:
-            files, checks = _run_spin(config, out, notes)
-    collected = _collect_warnings(caught) + notes
+    with recorded_warnings() as collected:
+        files, checks = _RUNNERS[type(config.params)](config)
 
     report = RunReport(
-        mode=config.mode,
         output_dir=str(out),
         files=files,
         warnings=collected,
@@ -365,9 +344,9 @@ def compare_regimes(config: RunConfig) -> Path:
     and a resolvable coupling zeta (gamma works too, via zeta = gamma m).
     Returns the path of the written table.
     """
-    if config.mode != "free-cat":
+    if not isinstance(config.params, FreeCatParams):
         raise ConfigError(f"compare-regimes needs a free-cat config, got mode {config.mode!r}")
-    params = config.free_cat
+    params = config.params
     if params.reservoir.temperature <= 0:
         raise ConfigError(
             f"compare-regimes needs a positive temperature; regime {params.regime!r} "
@@ -388,14 +367,8 @@ def compare_regimes(config: RunConfig) -> Path:
     ])
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    meta = _base_meta(config, "regime-comparison")
-    meta["zeta"] = format_float(zeta)
-    path = out / f"regime_comparison{data_extension(config.fmt)}"
-    write_table(
-        path,
-        meta,
-        ["t", "a_high_t_entangled", "a_decoupled_hpz"],
-        np.column_stack([times, entangled, decoupled]),
-        config.fmt,
+    columns = ["t", "a_high_t_entangled", "a_decoupled_hpz"]
+    rows = np.column_stack([times, entangled, decoupled])
+    return out / _write_data(
+        config, "regime_comparison", "regime-comparison", columns, rows, zeta=format_float(zeta)
     )
-    return path

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NATURAL, PhysicalConstants, StateInvariantError
+from .core import NATURAL, PhysicalConstants, StateInvariantError, require_finite
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -43,6 +43,7 @@ class SpinBathSpec:
     mu0: float | None = None
 
     def __post_init__(self):
+        require_finite(self)
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.omega <= 0:

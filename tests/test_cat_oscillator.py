@@ -40,6 +40,16 @@ class TestOscillatorSpec:
         with pytest.raises(ValueError):
             OscillatorSpec(mass=1.0, omega=1.0, d=-1.0, temperature=1.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("mass", math.nan), ("mass", math.inf), ("omega", math.nan), ("omega", math.inf),
+        ("d", math.nan), ("d", math.inf), ("temperature", math.nan), ("temperature", math.inf),
+    ])
+    def test_non_finite_parameters_rejected(self, field, value):
+        # unchecked, d = nan would give an all-NaN attenuation curve
+        params = {"mass": 1.0, "omega": 1.0, "d": 1.0, "temperature": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            OscillatorSpec(**params)
+
 
 class TestCoherentWidth:
     def test_ground_state_variance(self):

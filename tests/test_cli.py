@@ -12,7 +12,7 @@ import pytest
 
 import decolab.runner as runner_mod
 from decolab.cli import main
-from decolab.output import read_table
+from helpers import read_table
 
 SPIN_CFG = """
     [run]
@@ -280,6 +280,11 @@ class TestCompareRegimes:
         assert np.all(np.diff(data[:, 1]) < 0)
         assert np.all(np.diff(data[:, 2]) < 0)
         assert not np.allclose(data[:, 1], data[:, 2])
+        # the high-T law warns at each of the 21 samples; each distinct
+        # message is printed once
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == len(set(err))
+        assert sum(line.startswith("warning: separation d = 2 is not large") for line in err) == 2
 
 
 class TestSelftestCommand:

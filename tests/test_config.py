@@ -6,7 +6,14 @@ import textwrap
 
 import pytest
 
-from decolab.config import RunConfig, load_config, parse_config
+from decolab.config import (
+    FreeCatParams,
+    OscillatorParams,
+    RunConfig,
+    SpinParams,
+    load_config,
+    parse_config,
+)
 from decolab.core import CGS, NATURAL, ConfigError
 
 
@@ -41,7 +48,8 @@ class TestHappyPaths:
         assert config.n_samples == 512
         assert not config.verify
         assert config.fmt == "delimited-text"
-        params = config.free_cat
+        params = config.params
+        assert isinstance(params, FreeCatParams)
         assert params.cat.d == 3.0
         assert params.regime == "free"
         assert params.snapshots == 5
@@ -80,7 +88,7 @@ class TestHappyPaths:
         assert config.fmt == "structured-text"
         assert config.output_dir == "results"
         assert (config.t_start, config.t_end, config.n_samples) == (0.5, 4.0, 64)
-        params = config.free_cat
+        params = config.params
         assert params.reservoir.temperature == 10.0
         assert params.reservoir.gamma == 0.01
         assert (params.x_min, params.x_max) == (-8.0, 8.0)
@@ -102,7 +110,7 @@ class TestHappyPaths:
             zeta = 0.8
             """
         )
-        assert config.free_cat.reservoir.zeta_for(1.0) == 0.8
+        assert config.params.reservoir.zeta_for(1.0) == 0.8
 
     def test_oscillator_with_temperature_ratio(self):
         config = cfg(
@@ -121,9 +129,11 @@ class TestHappyPaths:
             n_revivals = 6
             """
         )
-        spec = config.oscillator.spec
+        assert isinstance(config.params, OscillatorParams)
+        assert config.mode == "oscillator-cat"
+        spec = config.params.spec
         assert spec.temperature == pytest.approx(0.5, rel=1e-15)
-        assert config.oscillator.n_revivals == 6
+        assert config.params.n_revivals == 6
 
     def test_spin_with_magnetic_parameters(self):
         config = cfg(
@@ -144,7 +154,9 @@ class TestHappyPaths:
             p_z = -0.4
             """
         )
-        params = config.spin
+        params = config.params
+        assert isinstance(params, SpinParams)
+        assert config.mode == "spin"
         assert params.spec.g_n == 5.586
         assert params.initial == (0.3, 0.0, -0.4)
 

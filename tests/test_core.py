@@ -66,6 +66,24 @@ class TestSpecs:
         with pytest.raises(ValueError):
             ReservoirSpec(gamma=1.0, temperature=1.0, zeta=-0.5)
 
+    @pytest.mark.parametrize("field,value", [
+        ("mass", math.nan), ("mass", math.inf), ("sigma", math.inf), ("sigma", math.nan),
+        ("d", math.nan), ("d", math.inf),
+    ])
+    def test_cat_spec_refuses_non_finite(self, field, value):
+        params = {"mass": 1.0, "sigma": 1.0, "d": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            CatSpec(**params)
+
+    @pytest.mark.parametrize("field,value", [
+        ("gamma", math.nan), ("gamma", math.inf), ("temperature", math.inf),
+        ("temperature", math.nan), ("zeta", math.nan), ("zeta", math.inf),
+    ])
+    def test_reservoir_spec_refuses_non_finite(self, field, value):
+        params = {"gamma": 1.0, "temperature": 1.0, "zeta": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            ReservoirSpec(**params)
+
     def test_zeta_defaults_to_gamma_mass(self):
         res = ReservoirSpec(gamma=0.25, temperature=1.0)
         assert res.zeta_for(4.0) == 1.0

@@ -228,9 +228,9 @@ class TestLindbladIntegration:
     def test_bit_identical_on_the_shipped_spin_bath(self):
         # the bath, start and step of `run configs/spin.cfg --verify`
         config = load_config(pathlib.Path(__file__).parent.parent / "configs" / "spin.cfg")
-        spec = config.spin.spec
+        spec = config.params.spec
         t1, _ = relaxation_times(spec)
-        rho0 = density_from_polarization(config.spin.initial)
+        rho0 = density_from_polarization(config.params.initial)
         traj = assert_matches_raw_generator(spec, rho0, config.t_end, min(t1, config.t_end) / 400.0)
         assert traj.times.size > 6000
 

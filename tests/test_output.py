@@ -9,10 +9,10 @@ from decolab.output import (
     config_hash,
     data_extension,
     format_float,
-    read_table,
     write_sections,
     write_table,
 )
+from helpers import read_table
 
 
 class TestFormatFloat:

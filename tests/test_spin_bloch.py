@@ -40,6 +40,17 @@ class TestSpinBathSpec:
         with pytest.raises(ValueError):
             SpinBathSpec(gamma=1.0, omega=1.0, temperature=-0.1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("gamma", math.nan), ("gamma", math.inf), ("omega", math.nan), ("omega", math.inf),
+        ("temperature", math.nan), ("temperature", math.inf), ("g_n", math.nan), ("mu0", math.inf),
+    ])
+    def test_non_finite_parameters_rejected(self, field, value):
+        # unchecked, temperature = inf would end in a bare ZeroDivisionError
+        # inside nbar, and gamma = nan in an all-NaN trajectory
+        params = {"gamma": 1.0, "omega": 1.0, "temperature": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            SpinBathSpec(**params)
+
     def test_half_specified_magnetics_fail_at_use(self):
         # constructing with only g_n is fine; asking for magnetization is not
         spec = SpinBathSpec(gamma=1.0, omega=1.0, temperature=1.0, g_n=2.0)
