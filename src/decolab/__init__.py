@@ -41,6 +41,7 @@ from .cat_free import (
     decoupled_decoherence_time,
     free_kinematics,
     high_t_decoherence_time,
+    log_attenuation_exact,
     low_t_time_constant,
     normalization_constant,
     ohmic_high_t_kinematics,

@@ -15,6 +15,13 @@ functions of the reservoir model: the commutator magnitude c(t) (where
 a(t) in closed form is exp(-s d^2 / 8 sigma^2 w^2); equivalently it is the
 ratio of the interference envelope to the geometric mean of the two direct
 terms, and the two definitions agree identically.
+
+The attenuation laws take t as a float or as an array of times: a float
+gives a float, and an array gives the array a loop of scalar calls would,
+bit for bit, with the same warnings in the same order.  Sums, products and
+quotients run in numpy in the scalar code's order (elementwise ufuncs round
+as Python floats do); exp, log, cos and powers run per sample through
+`core.float_map`.
 """
 
 import math
@@ -29,6 +36,7 @@ from .core import (
     PhysicalConstants,
     RegimeBreakdownError,
     classicality_ratio,
+    float_map,
     thermal_de_broglie,
     warn_regime,
 )
@@ -49,6 +57,8 @@ class ReservoirKinematics:
         Commutator magnitude c(t), from [x(0), x(t)] = i c(t).
     s : callable
         Mean-square displacement <(x(t) - x(0))^2>.
+        Both take a float; to evaluate the attenuation over an array of
+        times they must also take that array and return one of its shape.
     validity : (float, float)
         Time window the closed forms were derived for.  Evaluation outside
         it warns but proceeds.
@@ -70,13 +80,27 @@ class ReservoirKinematics:
         if abs(self.c(lo)) > 1e-12 or abs(self.s(lo)) > 1e-12:
             raise ValueError("kinematics must satisfy c = s = 0 at the start of validity")
 
-    def check_time(self, t: float) -> None:
+    def check_time(self, t: float | np.ndarray) -> None:
+        """Warn once for each t outside the validity window, in order."""
         lo, hi = self.validity
-        if not lo <= t < hi:
+        times = np.atleast_1d(np.asarray(t, dtype=float))
+        for value in times[~((lo <= times) & (times < hi))].tolist():
             warn_regime(
-                f"t = {t:g} lies outside the validity window [{lo:g}, {hi:g}) "
+                f"t = {value:g} lies outside the validity window [{lo:g}, {hi:g}) "
                 f"of the {self.label} kinematics"
             )
+
+
+def _constant_like(t, value: float):
+    # value at every t: a float for a float, an array of t's shape otherwise
+    return np.full(np.shape(t), value) if np.ndim(t) else value
+
+
+def _interpolator(times: np.ndarray, values: np.ndarray):
+    def at(t):
+        out = np.interp(t, times, values)
+        return out if np.ndim(out) else float(out)
+    return at
 
 
 def free_kinematics(mass: float, constants: PhysicalConstants = NATURAL) -> ReservoirKinematics:
@@ -86,7 +110,7 @@ def free_kinematics(mass: float, constants: PhysicalConstants = NATURAL) -> Rese
     hbar_over_m = constants.hbar / mass
     return ReservoirKinematics(
         c=lambda t: hbar_over_m * t,
-        s=lambda t: 0.0,
+        s=lambda t: _constant_like(t, 0.0),
         validity=(0.0, math.inf),
         label="free",
     )
@@ -151,25 +175,45 @@ def tabulated_kinematics(
     if np.any(s_values < 0):
         raise ValueError("mean-square displacement samples must be non-negative")
     return ReservoirKinematics(
-        c=lambda t: float(np.interp(t, times, c_values)),
-        s=lambda t: float(np.interp(t, times, s_values)),
+        c=_interpolator(times, c_values),
+        s=_interpolator(times, s_values),
         validity=(0.0, float(times[-1])),
         label=label,
     )
 
 
-def packet_variance(kin: ReservoirKinematics, sigma: float, t: float) -> float:
-    """Spread packet variance w^2(t) = sigma^2 + c(t)^2 / 4 sigma^2 + s(t)."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    kin.check_time(t)
+def _kinematics_at(kin: ReservoirKinematics, sigma: float, t, check_s: bool):
+    """c(t), s(t) and w^2(t) for a float or an array of t.
+
+    Warns for each t outside the validity window, in order, as a loop of
+    scalar evaluations would: that loop stops at the first t where w^2 is
+    not positive (or, with check_s, s is negative), after warning for it,
+    and raises RegimeBreakdownError naming it.  Cannot fail for the shipped
+    kinematics; guards user-supplied ones.
+    """
     c = kin.c(t)
     s = kin.s(t)
     w2 = sigma * sigma + (c * c) / (4.0 * sigma * sigma) + s
-    if not w2 > 0.0:
-        # cannot happen for the shipped kinematics; guards user-supplied ones
-        raise RegimeBreakdownError(f"packet variance w^2 = {w2:g} is not positive at t = {t:g}")
-    return w2
+    broken = ~(np.asarray(w2) > 0.0)
+    if check_s:
+        broken = broken | (np.asarray(s) < 0)
+    broken = np.atleast_1d(broken)
+    if not broken.any():
+        kin.check_time(t)
+        return c, s, w2
+    i = int(np.argmax(broken))
+    t_i, s_i, w2_i = (float(np.atleast_1d(v)[i]) for v in (t, s, w2))
+    kin.check_time(np.atleast_1d(t)[: i + 1])
+    if not w2_i > 0.0:
+        raise RegimeBreakdownError(f"packet variance w^2 = {w2_i:g} is not positive at t = {t_i:g}")
+    raise RegimeBreakdownError(f"mean-square displacement s = {s_i:g} is negative at t = {t_i:g}")
+
+
+def packet_variance(kin: ReservoirKinematics, sigma: float, t: float | np.ndarray):
+    """Spread packet variance w^2(t) = sigma^2 + c(t)^2 / 4 sigma^2 + s(t)."""
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    return _kinematics_at(kin, sigma, t, check_s=False)[2]
 
 
 def single_packet_prob(w2: float, x):
@@ -204,16 +248,20 @@ class _CatCoefficients:
     phase_slope: float        # theta(x) = phase_slope * x
 
 
+def _log_attenuation(spec: CatSpec, kin: ReservoirKinematics, t):
+    # c(t), w^2(t) and log a(t) = -s d^2 / 8 sigma^2 w^2
+    sigma2 = spec.sigma * spec.sigma
+    c, s, w2 = _kinematics_at(kin, spec.sigma, t, check_s=True)
+    d2 = spec.d * spec.d
+    return c, w2, -s * d2 / (8.0 * sigma2 * w2)
+
+
 def _coefficients(spec: CatSpec, kin: ReservoirKinematics, t: float) -> _CatCoefficients:
     sigma2 = spec.sigma * spec.sigma
-    w2 = packet_variance(kin, spec.sigma, t)
-    s = kin.s(t)
-    if s < 0:
-        raise RegimeBreakdownError(f"mean-square displacement s = {s:g} is negative at t = {t:g}")
-    c = kin.c(t)
+    c, w2, log_a = _log_attenuation(spec, kin, t)
     d2 = spec.d * spec.d
     n = normalization_constant(spec.sigma, spec.d)
-    a = math.exp(-s * d2 / (8.0 * sigma2 * w2))
+    a = math.exp(log_a)
     return _CatCoefficients(
         w2=w2,
         n2=n * n,
@@ -328,13 +376,18 @@ def cat_pointwise(spec: CatSpec, kin: ReservoirKinematics, t: float) -> CatPoint
     return CatPointwise(w2=w2, total=total, p1=p1, p2=p2, interference=interference)
 
 
-def attenuation_exact(spec: CatSpec, kin: ReservoirKinematics, t: float) -> float:
+def log_attenuation_exact(spec: CatSpec, kin: ReservoirKinematics, t: float | np.ndarray):
+    """log a(t) = -s(t) d^2 / 8 sigma^2 w^2(t), finite where a(t) underflows to 0."""
+    return _log_attenuation(spec, kin, t)[2]
+
+
+def attenuation_exact(spec: CatSpec, kin: ReservoirKinematics, t: float | np.ndarray):
     """Fringe attenuation a(t) = exp(-s(t) d^2 / 8 sigma^2 w^2(t)).
 
     Equals 1 whenever s(t) = 0: packet spreading alone never costs
     fringe contrast, only environmental displacement noise does.
     """
-    return _coefficients(spec, kin, t).attenuation
+    return float_map(math.exp, log_attenuation_exact(spec, kin, t))
 
 
 class FieldRatio(NamedTuple):
@@ -397,12 +450,29 @@ def _warn_separation_scales(
         )
 
 
+def _first_out_of_range(t: np.ndarray, horizon: float | None) -> int | None:
+    """Index of the first t < 0 or t >= horizon (None: no horizon), where a
+    loop of scalar calls raises; None if there is no such t."""
+    failed = t < 0
+    if horizon is not None:
+        failed |= t >= horizon
+    return int(np.argmax(failed)) if failed.any() else None
+
+
+def _out_of_range_error(t: float, horizon: float, expansion: str) -> ValueError:
+    if t < 0:
+        return ValueError(f"t must be non-negative, got {t}")
+    return RegimeBreakdownError(
+        f"t = {t:g} reaches m/zeta = {horizon:g}; the {expansion} expansion has broken down"
+    )
+
+
 def attenuation_high_t(
     spec: CatSpec,
     temperature: float,
-    t: float,
+    t: float | np.ndarray,
     constants: PhysicalConstants = NATURAL,
-) -> float:
+):
     """Entangled high-temperature decay a(t) = exp(-(t/tau_d)^2).
 
     This is the closed form with the packet variance frozen at sigma^2,
@@ -410,10 +480,10 @@ def attenuation_high_t(
     thermal wavelength (warns when either ratio drops below 10).
     """
     if spec.d == 0:
-        return 1.0
+        return _constant_like(t, 1.0)
     _warn_separation_scales(spec, temperature, constants)
     tau_d = high_t_decoherence_time(spec, temperature, constants)
-    return math.exp(-(t / tau_d) ** 2)
+    return float_map(lambda q: math.exp(-q ** 2), t / tau_d)
 
 
 def low_t_time_constant(
@@ -432,35 +502,40 @@ def low_t_time_constant(
 def attenuation_low_t(
     spec: CatSpec,
     zeta: float,
-    t: float,
+    t: float | np.ndarray,
     constants: PhysicalConstants = NATURAL,
-) -> float:
+):
     """Low-temperature (dissipation-driven) attenuation.
 
         a(t) = exp[ (t/tau_0)^2 (log(zeta t / m) + gamma_E - 3/2) ]
 
     Hard-limited to t < m/zeta, where the bracket is negative and a < 1.
     The derivation also assumes t above a short-time cutoff that is not
-    pinned down quantitatively, so small-t values carry a warning.
+    pinned down quantitatively, so small-t values carry a warning (once
+    per call).  An array stops at its first t < 0 or t >= m/zeta and
+    raises for it.
     """
     if zeta <= 0:
         raise ValueError(f"zeta must be positive, got {zeta}")
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    if t >= spec.mass / zeta:
-        raise RegimeBreakdownError(
-            f"t = {t:g} reaches m/zeta = {spec.mass / zeta:g}; "
-            "the low-temperature expansion has broken down"
+    times = np.asarray(t, dtype=float)
+    flat = np.atleast_1d(times)
+    horizon = spec.mass / zeta
+    stop = _first_out_of_range(flat, horizon)
+    if stop != 0 and flat.size:
+        warn_regime(
+            "the low-temperature form is derived for t above a short-time "
+            "cutoff that is not specified quantitatively; treat small-t values with care"
         )
-    warn_regime(
-        "the low-temperature form is derived for t above a short-time "
-        "cutoff that is not specified quantitatively; treat small-t values with care"
-    )
-    if t == 0.0:
-        return 1.0  # t^2 log t -> 0
-    tau0 = low_t_time_constant(spec, zeta, constants)
-    bracket = math.log(zeta * t / spec.mass) + EULER_GAMMA - 1.5
-    return math.exp((t / tau0) ** 2 * bracket)
+    if stop is not None:
+        raise _out_of_range_error(float(flat[stop]), horizon, "low-temperature")
+    out = np.ones(times.shape)  # t = 0 stays 1: t^2 log t -> 0
+    moving = times != 0.0
+    if moving.any():
+        tau0 = low_t_time_constant(spec, zeta, constants)
+        tm = times[moving]
+        bracket = float_map(math.log, zeta * tm / spec.mass) + EULER_GAMMA - 1.5
+        out[moving] = float_map(math.exp, float_map(lambda q: q ** 2, tm / tau0) * bracket)
+    return out if out.ndim else float(out)
 
 
 def decoupled_decoherence_time(
@@ -480,36 +555,38 @@ def attenuation_decoupled_high_t(
     spec: CatSpec,
     zeta: float,
     temperature: float,
-    t: float,
+    t: float | np.ndarray,
     constants: PhysicalConstants = NATURAL,
-) -> float:
+):
     """High-temperature decay for a state prepared uncorrelated with the bath.
 
         a(t) = exp[ -zeta k T d^2 t^3 / (12 m^2 sigma^4 + 3 hbar^2 t^2) ]
 
     Cubic rather than quadratic at early times, and switching off the
     coupling (zeta = 0) removes the decay entirely.  Valid for t below
-    m/zeta (hard error there; warns above a tenth of it).
+    m/zeta (hard error there; warns once for each t above a tenth of it).
+    An array stops at its first t < 0 or t >= m/zeta and raises for it.
     """
     if zeta < 0:
         raise ValueError(f"zeta must be non-negative, got {zeta}")
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    flat = np.atleast_1d(np.asarray(t, dtype=float))
+    horizon = spec.mass / zeta if zeta else None
+    stop = _first_out_of_range(flat, horizon)
+    if horizon is not None:
+        for value in flat[:stop][flat[:stop] > 0.1 * horizon].tolist():
+            warn_regime(
+                f"t = {value:g} is a sizable fraction of m/zeta = {horizon:g}; "
+                "the weak-damping result is approximate here"
+            )
+    if stop is not None:
+        raise _out_of_range_error(float(flat[stop]), horizon, "weak-damping")
     if zeta == 0.0:
-        return 1.0
-    horizon = spec.mass / zeta
-    if t >= horizon:
-        raise RegimeBreakdownError(
-            f"t = {t:g} reaches m/zeta = {horizon:g}; the weak-damping expansion has broken down"
-        )
-    if t > 0.1 * horizon:
-        warn_regime(
-            f"t = {t:g} is a sizable fraction of m/zeta = {horizon:g}; "
-            "the weak-damping result is approximate here"
-        )
+        return _constant_like(t, 1.0)
     kT = constants.k_boltzmann * temperature
-    num = zeta * kT * spec.d ** 2 * t ** 3
-    den = 12.0 * (spec.mass * spec.sigma * spec.sigma) ** 2 + 3.0 * (constants.hbar * t) ** 2
-    return math.exp(-num / den)
+    num = zeta * kT * spec.d ** 2 * float_map(lambda q: q ** 3, t)
+    den = 12.0 * (spec.mass * spec.sigma * spec.sigma) ** 2 + 3.0 * float_map(
+        lambda q: q ** 2, constants.hbar * t
+    )
+    return float_map(math.exp, -num / den)

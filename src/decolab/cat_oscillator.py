@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NATURAL, CatSpec, PhysicalConstants, require_finite
+from .core import NATURAL, CatSpec, PhysicalConstants, float_map, require_finite
 from .cat_free import attenuation_high_t, high_t_decoherence_time
 
 
@@ -62,17 +62,21 @@ def _inverse_sinh(x: float) -> float:
 
 
 def attenuation_oscillator(
-    spec: OscillatorSpec, t: float, constants: PhysicalConstants = NATURAL
-) -> float:
-    """Periodic attenuation factor a(t); equals 1 exactly at revivals."""
+    spec: OscillatorSpec, t: float | np.ndarray, constants: PhysicalConstants = NATURAL
+):
+    """Periodic attenuation factor a(t); equals 1 exactly at revivals.
+
+    t may be a float or an array of times; an array gives, bit for bit,
+    what a loop of scalar calls would (cos and exp run per sample).
+    """
     x = constants.hbar * spec.omega / (constants.k_boltzmann * spec.temperature)
-    cos_wt = math.cos(spec.omega * t)
+    cos_wt = float_map(math.cos, spec.omega * t)
     expo = (
         -spec.mass * spec.omega * spec.d ** 2 * cos_wt * cos_wt
         / (2.0 * constants.hbar)
         * _inverse_sinh(x)
     )
-    return math.exp(expo)
+    return float_map(math.exp, expo)
 
 
 def minimum_attenuation(spec: OscillatorSpec, constants: PhysicalConstants = NATURAL) -> float:
@@ -130,10 +134,8 @@ def free_particle_limit_check(
     t0 = math.pi / (2.0 * spec.omega)
     cat = CatSpec(mass=spec.mass, sigma=coherent_width(spec, constants), d=spec.d)
 
-    osc = np.array([attenuation_oscillator(spec, t0 + dt, constants) for dt in delta_t])
-    free = np.array([
-        attenuation_high_t(cat, spec.temperature, dt, constants) for dt in delta_t
-    ])
+    osc = attenuation_oscillator(spec, t0 + delta_t, constants)
+    free = attenuation_high_t(cat, spec.temperature, delta_t, constants)
     # an underflowed reference leaves the comparison meaningless, not small
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(free > 0.0, np.abs(osc - free) / free, np.inf)

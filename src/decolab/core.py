@@ -9,6 +9,8 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 KB_CGS = 1.380649e-16                      # erg/K
 HBAR_CGS = 6.62607015e-27 / (2.0 * math.pi)  # erg s
 
@@ -163,6 +165,17 @@ def classicality_ratio(temperature: float, gamma: float, constants: PhysicalCons
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     return constants.k_boltzmann * temperature / (constants.hbar * gamma)
+
+
+def float_map(fn, x):
+    """fn applied to each element of x as a Python float, so that an array
+    rounds exactly as a loop of scalar calls does (math.exp, math.cos and
+    float ** round differently from their numpy counterparts on some
+    inputs).  A float in gives a float out; an array keeps its shape."""
+    if np.ndim(x) == 0:
+        return fn(float(x))
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
 
 
 def warn_regime(message: str) -> None:

@@ -14,6 +14,10 @@ DELIMITED = "delimited-text"
 STRUCTURED = "structured-text"
 FORMATS = (DELIMITED, STRUCTURED)
 
+# rows formatted per string operation by write_table; bounds the text held
+# in memory at once
+BLOCK_ROWS = 4096
+
 
 def format_float(x: float) -> str:
     """17 significant digits, enough to round-trip any double exactly."""
@@ -33,39 +37,40 @@ def data_extension(fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _format_row(row) -> str:
-    return ",".join(format_float(v) for v in row)
-
-
 def write_table(path: Path, meta: dict, columns: list[str], rows, fmt: str) -> None:
     """Write one table of float columns in the requested format.
 
     delimited-text: '#' key = value header lines, then bare comma-separated
     rows (numpy.loadtxt-friendly).  structured-text: [meta] and [data]
-    sections with one indexed key per row.
+    sections with one indexed key per row.  Data with no values, such as an
+    empty list, is a table of no rows.
+
+    Rows are formatted BLOCK_ROWS at a time, each block by one `%`
+    operation: "%.16e" and format_float's f-string share CPython's double
+    formatter, so the bytes are those of format_float, number by number.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.size and rows.shape[1] != len(columns):
+    if not rows.size:
+        rows = rows.reshape(0, len(columns))
+    if rows.shape[1] != len(columns):
         raise ValueError(f"{rows.shape[1]} columns of data for {len(columns)} names")
-    lines = []
+    line = ",".join(["%.16e"] * len(columns)) + "\n"
     if fmt == DELIMITED:
-        for key, value in meta.items():
-            lines.append(f"# {key} = {value}")
-        lines.append(f"# columns = {','.join(columns)}")
-        for row in rows:
-            lines.append(_format_row(row))
+        header = [f"# {key} = {value}" for key, value in meta.items()]
+        header.append(f"# columns = {','.join(columns)}")
     elif fmt == STRUCTURED:
-        lines.append("[meta]")
-        for key, value in meta.items():
-            lines.append(f"{key} = {value}")
-        lines.append(f"columns = {','.join(columns)}")
-        lines.append(f"rows = {rows.shape[0] if rows.size else 0}")
-        lines.append("[data]")
-        for i, row in enumerate(rows):
-            lines.append(f"r{i} = {_format_row(row)}")
+        header = ["[meta]", *(f"{key} = {value}" for key, value in meta.items())]
+        header += [f"columns = {','.join(columns)}", f"rows = {rows.shape[0]}", "[data]"]
+        line = "r%d = " + line
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(header) + "\n")
+        for start in range(0, rows.shape[0], BLOCK_ROWS):
+            block = rows[start:start + BLOCK_ROWS]
+            if fmt == STRUCTURED:  # the row index rides along as a leading column, for "%d"
+                block = np.column_stack([np.arange(start, start + block.shape[0]), block])
+            handle.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def write_sections(path: Path, sections: dict) -> None:

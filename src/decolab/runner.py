@@ -20,7 +20,7 @@ import numpy as np
 
 from . import cat_free, cat_oscillator, oracle, spin_bloch
 from .config import FreeCatParams, OscillatorParams, RunConfig, SpinParams
-from .core import CatSpec, Check, ConfigError
+from .core import CatSpec, Check, ConfigError, float_map
 from .output import (
     config_hash,
     data_extension,
@@ -100,22 +100,18 @@ def _kinematics_for(params, constants):
     return None
 
 
-def _attenuation_curve(params, kin, constants, times) -> np.ndarray:
+def _attenuation_curve(params, kin, constants, times):
+    """a(t) on the time grid, and log a(t) where the regime's closed form
+    gives it (the regimes with kinematics), else None."""
     if kin is not None:
-        return np.array([
-            cat_free.attenuation_exact(params.cat, kin, float(t)) for t in times
-        ])
+        log_a = cat_free.log_attenuation_exact(params.cat, kin, times)
+        return float_map(math.exp, log_a), log_a  # as attenuation_exact does
     zeta = params.reservoir.zeta_for(params.cat.mass)
     if params.regime == "low-t":
-        return np.array([
-            cat_free.attenuation_low_t(params.cat, zeta, float(t), constants) for t in times
-        ])
-    return np.array([
-        cat_free.attenuation_decoupled_high_t(
-            params.cat, zeta, params.reservoir.temperature, float(t), constants
-        )
-        for t in times
-    ])
+        return cat_free.attenuation_low_t(params.cat, zeta, times, constants), None
+    return cat_free.attenuation_decoupled_high_t(
+        params.cat, zeta, params.reservoir.temperature, times, constants
+    ), None
 
 
 def _snapshot_grid(params, w2: float) -> np.ndarray:
@@ -130,7 +126,7 @@ def _run_free_cat(config: RunConfig):
     times = _time_grid(config)
 
     kin = _kinematics_for(params, constants)
-    curve = _attenuation_curve(params, kin, constants, times)
+    curve, log_curve = _attenuation_curve(params, kin, constants, times)
     files = [_write_data(config, "attenuation", "attenuation-curve", ["t", "a"],
                          np.column_stack([times, curve]), regime=params.regime)]
 
@@ -155,14 +151,22 @@ def _run_free_cat(config: RunConfig):
 
     checks = None
     if config.verify:
-        checks = [_bounds_check(curve)]
+        checks = [_bounds_check(curve, log_curve)]
         if kin is not None and params.snapshots:
             checks.extend(_field_checks(params.cat, kin, snap_times))
     return files, checks
 
 
-def _bounds_check(curve: np.ndarray) -> Check:
+def _bounds_check(curve: np.ndarray, log_curve: np.ndarray | None) -> Check:
     # a must stay inside (0, 1]; deviation is the worst excursion
+    if log_curve is not None:
+        # judged on log a <= 0, which stays finite where a underflows to 0.0;
+        # log a(0) is -0.0, which reads as 0.0 here, and a NaN is kept
+        top = float(np.max(log_curve))
+        dev = 0.0 if top <= 0.0 else top
+        if np.any(log_curve == -math.inf):
+            dev = math.inf
+        return Check("attenuation_bounds", dev, BOUNDS_TOL)
     dev = max(float(np.max(curve)) - 1.0, 0.0)
     if np.any(curve <= 0.0):
         dev = max(dev, float(np.max(-curve)) + 1e-9)
@@ -221,9 +225,7 @@ def _run_oscillator(config: RunConfig):
     constants = config.constants
     times = _time_grid(config)
 
-    curve = np.array([
-        cat_oscillator.attenuation_oscillator(spec, float(t), constants) for t in times
-    ])
+    curve = cat_oscillator.attenuation_oscillator(spec, times, constants)
     rows = np.column_stack([times, curve])
     files = [_write_data(config, "attenuation", "attenuation-curve", ["t", "a"], rows)]
 
@@ -241,10 +243,8 @@ def _run_oscillator(config: RunConfig):
     if config.verify:
         checks = []
         if len(revivals):
-            dev = float(np.max([
-                abs(cat_oscillator.attenuation_oscillator(spec, float(t), constants) - 1.0)
-                for t in revivals
-            ]))
+            at_revivals = cat_oscillator.attenuation_oscillator(spec, revivals, constants)
+            dev = float(np.max(np.abs(at_revivals - 1.0)))
             checks.append(Check("revival_unity", dev, REVIVAL_TOL))
         floor = cat_oscillator.minimum_attenuation(spec, constants)
         dev = abs(cat_oscillator.attenuation_oscillator(spec, 0.0, constants) - floor)
@@ -355,16 +355,11 @@ def compare_regimes(config: RunConfig) -> Path:
     constants = config.constants
     zeta = params.reservoir.zeta_for(params.cat.mass)
     times = _time_grid(config)
-    entangled = np.array([
-        cat_free.attenuation_high_t(params.cat, params.reservoir.temperature, float(t), constants)
-        for t in times
-    ])
-    decoupled = np.array([
-        cat_free.attenuation_decoupled_high_t(
-            params.cat, zeta, params.reservoir.temperature, float(t), constants
-        )
-        for t in times
-    ])
+    temperature = params.reservoir.temperature
+    entangled = cat_free.attenuation_high_t(params.cat, temperature, times, constants)
+    decoupled = cat_free.attenuation_decoupled_high_t(
+        params.cat, zeta, temperature, times, constants
+    )
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     columns = ["t", "a_high_t_entangled", "a_decoupled_hpz"]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NATURAL, PhysicalConstants, StateInvariantError, require_finite
+from .core import NATURAL, PhysicalConstants, StateInvariantError, float_map, require_finite
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -114,17 +114,13 @@ def bloch_evolve(spec: SpinBathSpec, initial, t, constants: PhysicalConstants = 
     t1, t2 = relaxation_times(spec, constants)
     # math.exp, not np.exp: the two round differently on a few percent of
     # float64 inputs, and the written trajectories are pinned bit for bit
-    decay2 = _exp_each(-times / t2)
-    decay1 = _exp_each(-times / t1)
+    decay2 = float_map(math.exp, -times / t2)
+    decay1 = float_map(math.exp, -times / t1)
     return np.stack([
         p0vec[0] * decay2,
         p0vec[1] * decay2,
         p_eq + (p0vec[2] - p_eq) * decay1,
     ], axis=-1)
-
-
-def _exp_each(x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.exp, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
 
 
 def check_density_matrix(

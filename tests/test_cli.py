@@ -199,6 +199,43 @@ class TestRunCommand:
         assert "c3_pass = false" in report
         assert "verify attenuation_ratio_identity: FAIL" in capsys.readouterr().out
 
+    def test_underflowed_fringe_passes_the_bounds_check(self, tmp_path, capsys):
+        # d = 400 drives a(t) to 0.0 in floating point while log a stays
+        # finite and negative: the fringe is gone, not out of bounds
+        cfg = write_cfg(
+            tmp_path,
+            """
+            [run]
+            mode = free-cat
+
+            [time]
+            end = 2.0
+            samples = 100
+
+            [free-cat]
+            mass = 1.0
+            sigma = 1.0
+            d = 400.0
+            regime = ohmic-high-t
+            temperature = 2.0
+            gamma = 0.01
+            snapshots = 0
+            """,
+        )
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--verify", "--out", str(out)]) == 0
+        assert "verify attenuation_bounds: PASS" in capsys.readouterr().out
+        assert np.any(read_table(out / "attenuation.csv")[:, 1] == 0.0)
+        report = (out / "report.txt").read_text()
+        assert "c0_deviation = 0.0000000000000000e+00" in report
+
+    def test_bounds_on_log_attenuation_fail_closed(self):
+        curve = np.array([1.0, 0.5])
+        at_start = runner_mod._bounds_check(curve, np.array([-0.0, math.log(0.5)]))
+        assert at_start.passed and math.copysign(1.0, at_start.deviation) == 1.0
+        for log_curve in ([-0.0, math.nan], [-0.0, -math.inf], [-0.0, 1e-9]):
+            assert not runner_mod._bounds_check(curve, np.array(log_curve)).passed
+
     def test_low_t_regime_skips_snapshots_with_note(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,
@@ -375,6 +412,64 @@ class TestShippedConfigs:
             out = tmp_path / f"out{i}"
             assert main(["run", str(cfg), "--out", str(out)]) == 0, cfg.name
             assert (out / "report.txt").exists()
+
+
+# the attenuation-only regimes and compare-regimes (shipped free_cat.cfg when
+# the text is None), pinned as the per-sample loops wrote them:
+# name -> (config text, command, written file, sha256)
+CURVE_DIGESTS = {
+    "low-t": ("""
+        [run]
+        mode = free-cat
+
+        [time]
+        end = 0.9
+        samples = 200
+
+        [free-cat]
+        mass = 1.0
+        sigma = 1.0
+        d = 2.0
+        regime = low-t
+        zeta = 1.0
+        snapshots = 0
+    """, "run", "attenuation.csv",
+        "a4282c82ba1063687e5bfca3b959917ff37fb456a3bc987cd7f5962b4c1b323f"),
+    "decoupled-high-t": ("""
+        [run]
+        mode = free-cat
+
+        [time]
+        end = 1.5
+        samples = 150
+
+        [free-cat]
+        mass = 2.0
+        sigma = 1.0
+        d = 3.0
+        regime = decoupled-high-t
+        temperature = 3.0
+        zeta = 0.5
+        snapshots = 0
+    """, "run", "attenuation.csv",
+        "697669e63cef25a23562453ba6b28fc4e68ce970c84a33ee0e4b04a22d9ac471"),
+    "compare-regimes": (None, "compare-regimes", "out/free_cat/regime_comparison.csv",
+                        "b0e43cdb16ca9ad80616f423915a2c1a52973b381ee46d7c775db4dd98e1c86b"),
+}
+
+
+class TestPinnedCurves:
+    @pytest.mark.parametrize("name", sorted(CURVE_DIGESTS))
+    def test_outputs_match_pinned_digests(self, tmp_path, monkeypatch, name):
+        text, command, written, digest = CURVE_DIGESTS[name]
+        if text is None:
+            cfg = str(pathlib.Path(__file__).parent.parent / "configs" / "free_cat.cfg")
+        else:
+            cfg = write_cfg(tmp_path, text)
+        monkeypatch.chdir(tmp_path)
+        argv = [command, cfg] + (["--out", str(tmp_path)] if command == "run" else [])
+        assert main(argv) == 0
+        assert hashlib.sha256((tmp_path / written).read_bytes()).hexdigest() == digest
 
 
 class TestEntryPoint:

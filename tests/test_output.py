@@ -1,9 +1,12 @@
 """Deterministic text output: float formatting, tables, hashing."""
 
+import math
+
 import numpy as np
 import pytest
 
 from decolab.output import (
+    BLOCK_ROWS,
     DELIMITED,
     STRUCTURED,
     config_hash,
@@ -12,7 +15,7 @@ from decolab.output import (
     write_sections,
     write_table,
 )
-from helpers import read_table
+from helpers import read_table, reference_float, reference_table_text
 
 
 class TestFormatFloat:
@@ -117,3 +120,48 @@ class TestWriteSections:
         assert text.index("[report]") < text.index("[files]")
         assert "status = pass" in text
         assert "n = 3" in text
+
+
+SPECIAL_VALUES = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+    1e300, -1e300, 1e-300, -1e-300, 1.0, 0.1, -2.0 / 3.0,
+]
+
+
+class TestBlockWriter:
+    """write_table against the per-number formatter it replaced."""
+
+    @staticmethod
+    def table(n_rows: int, width: int) -> np.ndarray:
+        rng = np.random.default_rng(n_rows)
+        values = rng.standard_normal(n_rows * width) * 10.0 ** rng.integers(-300, 300, n_rows * width)
+        values[: len(SPECIAL_VALUES)] = SPECIAL_VALUES[: values.size]
+        return values.reshape(n_rows, width)
+
+    @pytest.mark.parametrize("fmt", [DELIMITED, STRUCTURED])
+    @pytest.mark.parametrize("n_rows", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    def test_bytes_match_the_reference_formatter(self, tmp_path, fmt, n_rows):
+        width = 3 if n_rows != 1 else len(SPECIAL_VALUES)
+        columns = [f"c{i}" for i in range(width)]
+        rows = self.table(n_rows, width)
+        meta = {"kind": "demo", "time": reference_float(0.5)}
+        path = tmp_path / "table.txt"
+        write_table(path, meta, columns, rows, fmt)
+        assert path.read_bytes() == reference_table_text(meta, columns, rows, fmt).encode()
+
+    @pytest.mark.parametrize("fmt", [DELIMITED, STRUCTURED])
+    def test_special_values_format_as_before(self, tmp_path, fmt):
+        path = tmp_path / "special.txt"
+        write_table(path, {}, ["v"], np.reshape(SPECIAL_VALUES, (-1, 1)), fmt)
+        numbers = [line.split(" = ")[-1] for line in path.read_text().splitlines()[-len(SPECIAL_VALUES):]]
+        assert numbers == [reference_float(x) for x in SPECIAL_VALUES]
+        assert numbers[:4] == ["nan", "inf", "-inf", "-0.0000000000000000e+00"]
+
+    @pytest.mark.parametrize("fmt", [DELIMITED, STRUCTURED])
+    def test_empty_rows_write_a_header_only_table(self, tmp_path, fmt):
+        flat, shaped = tmp_path / "flat.txt", tmp_path / "shaped.txt"
+        write_table(flat, {"kind": "demo"}, ["t", "a"], [], fmt)
+        write_table(shaped, {"kind": "demo"}, ["t", "a"], np.empty((0, 2)), fmt)
+        expected = reference_table_text({"kind": "demo"}, ["t", "a"], np.empty((0, 2)), fmt)
+        assert flat.read_text() == shaped.read_text() == expected
+        assert "r0" not in expected and expected.endswith(("[data]\n", "# columns = t,a\n"))
