@@ -41,7 +41,10 @@ from .cat_free import (
     decoupled_decoherence_time,
     free_kinematics,
     high_t_decoherence_time,
+    log_attenuation_decoupled_high_t,
     log_attenuation_exact,
+    log_attenuation_from_terms,
+    log_attenuation_low_t,
     low_t_time_constant,
     normalization_constant,
     ohmic_high_t_kinematics,

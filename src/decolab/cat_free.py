@@ -398,23 +398,57 @@ class FieldRatio(NamedTuple):
     n_points: int
 
 
+def resolvable_overlap(field: CatField) -> np.ndarray:
+    """Grid points where p1 * p2 is resolvable, far above the underflow at
+    extreme |x| or large separations."""
+    return field.p1 * field.p2 > 1e-290
+
+
 def attenuation_from_field(field: CatField) -> FieldRatio:
     """Recover a(t) from a sampled field as envelope / sqrt(p1 * p2).
 
     The ratio is independent of x, so it is averaged over the grid and the
     largest pointwise deviation from the mean is reported.  Points where
-    the product p1 * p2 underflows (extreme |x|) are excluded.
+    the product p1 * p2 underflows (extreme |x|) are excluded; with none
+    left, use log_attenuation_from_terms.
     """
-    product = field.p1 * field.p2
-    usable = product > 1e-290
+    usable = resolvable_overlap(field)
     if not np.any(usable):
         raise ValueError("no grid points with resolvable packet overlap")
-    ratio = field.envelope[usable] / np.sqrt(product[usable])
+    ratio = field.envelope[usable] / np.sqrt(field.p1[usable] * field.p2[usable])
     value = float(np.mean(ratio))
     return FieldRatio(
         value=value,
         max_deviation=float(np.max(np.abs(ratio - value))),
         n_points=int(np.count_nonzero(usable)),
+    )
+
+
+def log_attenuation_from_terms(
+    spec: CatSpec, kin: ReservoirKinematics, t: float, x_grid: np.ndarray
+) -> FieldRatio:
+    """Recover log a(t) as log envelope - (log p1 + log p2) / 2 on a grid.
+
+    Each term is evaluated in the log domain from the same coefficients as
+    cat_probability, so the recovery stays finite where p1 * p2 underflows
+    at every grid point (a separation of hundreds of widths).  Averaged
+    over the grid like attenuation_from_field.
+    """
+    _, w2, log_a = _log_attenuation(spec, kin, t)
+    n = normalization_constant(spec.sigma, spec.d)
+    log_norm = math.log(n * n) - 0.5 * math.log(2.0 * math.pi * w2)
+    x = np.asarray(x_grid, dtype=float)
+    inv2w2 = 1.0 / (2.0 * w2)
+    half_d = spec.d / 2.0
+    log_p1 = log_norm - (x - half_d) ** 2 * inv2w2
+    log_p2 = log_norm - (x + half_d) ** 2 * inv2w2
+    log_envelope = log_norm + (log_a - spec.d * spec.d / (8.0 * w2)) - x * x * inv2w2
+    ratio = log_envelope - 0.5 * (log_p1 + log_p2)
+    value = float(np.mean(ratio))
+    return FieldRatio(
+        value=value,
+        max_deviation=float(np.max(np.abs(ratio - value))),
+        n_points=int(x.size),
     )
 
 
@@ -499,6 +533,37 @@ def low_t_time_constant(
     )
 
 
+def log_attenuation_low_t(
+    spec: CatSpec,
+    zeta: float,
+    t: float | np.ndarray,
+    constants: PhysicalConstants = NATURAL,
+):
+    """log a(t) of the low-temperature law (see attenuation_low_t), finite
+    where a(t) underflows to 0; same warnings and errors."""
+    if zeta <= 0:
+        raise ValueError(f"zeta must be positive, got {zeta}")
+    times = np.asarray(t, dtype=float)
+    flat = np.atleast_1d(times)
+    horizon = spec.mass / zeta
+    stop = _first_out_of_range(flat, horizon)
+    if stop != 0 and flat.size:
+        warn_regime(
+            "the low-temperature form is derived for t above a short-time "
+            "cutoff that is not specified quantitatively; treat small-t values with care"
+        )
+    if stop is not None:
+        raise _out_of_range_error(float(flat[stop]), horizon, "low-temperature")
+    out = np.zeros(times.shape)  # t = 0 stays 0: t^2 log t -> 0
+    moving = times != 0.0
+    if moving.any():
+        tau0 = low_t_time_constant(spec, zeta, constants)
+        tm = times[moving]
+        bracket = float_map(math.log, zeta * tm / spec.mass) + EULER_GAMMA - 1.5
+        out[moving] = float_map(lambda q: q ** 2, tm / tau0) * bracket
+    return out if out.ndim else float(out)
+
+
 def attenuation_low_t(
     spec: CatSpec,
     zeta: float,
@@ -515,27 +580,7 @@ def attenuation_low_t(
     per call).  An array stops at its first t < 0 or t >= m/zeta and
     raises for it.
     """
-    if zeta <= 0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
-    times = np.asarray(t, dtype=float)
-    flat = np.atleast_1d(times)
-    horizon = spec.mass / zeta
-    stop = _first_out_of_range(flat, horizon)
-    if stop != 0 and flat.size:
-        warn_regime(
-            "the low-temperature form is derived for t above a short-time "
-            "cutoff that is not specified quantitatively; treat small-t values with care"
-        )
-    if stop is not None:
-        raise _out_of_range_error(float(flat[stop]), horizon, "low-temperature")
-    out = np.ones(times.shape)  # t = 0 stays 1: t^2 log t -> 0
-    moving = times != 0.0
-    if moving.any():
-        tau0 = low_t_time_constant(spec, zeta, constants)
-        tm = times[moving]
-        bracket = float_map(math.log, zeta * tm / spec.mass) + EULER_GAMMA - 1.5
-        out[moving] = float_map(math.exp, float_map(lambda q: q ** 2, tm / tau0) * bracket)
-    return out if out.ndim else float(out)
+    return float_map(math.exp, log_attenuation_low_t(spec, zeta, t, constants))
 
 
 def decoupled_decoherence_time(
@@ -549,6 +594,41 @@ def decoupled_decoherence_time(
     if spec.d == 0:
         raise ValueError("decoherence time is undefined for zero separation")
     return 3.0 * constants.hbar ** 2 / (zeta * constants.k_boltzmann * temperature * spec.d ** 2)
+
+
+def log_attenuation_decoupled_high_t(
+    spec: CatSpec,
+    zeta: float,
+    temperature: float,
+    t: float | np.ndarray,
+    constants: PhysicalConstants = NATURAL,
+):
+    """log a(t) of the decoupled high-temperature law (see
+    attenuation_decoupled_high_t), finite where a(t) underflows to 0; same
+    warnings and errors."""
+    if zeta < 0:
+        raise ValueError(f"zeta must be non-negative, got {zeta}")
+    if temperature <= 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    flat = np.atleast_1d(np.asarray(t, dtype=float))
+    horizon = spec.mass / zeta if zeta else None
+    stop = _first_out_of_range(flat, horizon)
+    if horizon is not None:
+        for value in flat[:stop][flat[:stop] > 0.1 * horizon].tolist():
+            warn_regime(
+                f"t = {value:g} is a sizable fraction of m/zeta = {horizon:g}; "
+                "the weak-damping result is approximate here"
+            )
+    if stop is not None:
+        raise _out_of_range_error(float(flat[stop]), horizon, "weak-damping")
+    if zeta == 0.0:
+        return _constant_like(t, 0.0)
+    kT = constants.k_boltzmann * temperature
+    num = zeta * kT * spec.d ** 2 * float_map(lambda q: q ** 3, t)
+    den = 12.0 * (spec.mass * spec.sigma * spec.sigma) ** 2 + 3.0 * float_map(
+        lambda q: q ** 2, constants.hbar * t
+    )
+    return -num / den
 
 
 def attenuation_decoupled_high_t(
@@ -567,26 +647,6 @@ def attenuation_decoupled_high_t(
     m/zeta (hard error there; warns once for each t above a tenth of it).
     An array stops at its first t < 0 or t >= m/zeta and raises for it.
     """
-    if zeta < 0:
-        raise ValueError(f"zeta must be non-negative, got {zeta}")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    flat = np.atleast_1d(np.asarray(t, dtype=float))
-    horizon = spec.mass / zeta if zeta else None
-    stop = _first_out_of_range(flat, horizon)
-    if horizon is not None:
-        for value in flat[:stop][flat[:stop] > 0.1 * horizon].tolist():
-            warn_regime(
-                f"t = {value:g} is a sizable fraction of m/zeta = {horizon:g}; "
-                "the weak-damping result is approximate here"
-            )
-    if stop is not None:
-        raise _out_of_range_error(float(flat[stop]), horizon, "weak-damping")
-    if zeta == 0.0:
-        return _constant_like(t, 1.0)
-    kT = constants.k_boltzmann * temperature
-    num = zeta * kT * spec.d ** 2 * float_map(lambda q: q ** 3, t)
-    den = 12.0 * (spec.mass * spec.sigma * spec.sigma) ** 2 + 3.0 * float_map(
-        lambda q: q ** 2, constants.hbar * t
+    return float_map(
+        math.exp, log_attenuation_decoupled_high_t(spec, zeta, temperature, t, constants)
     )
-    return float_map(math.exp, -num / den)

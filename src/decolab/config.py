@@ -22,6 +22,10 @@ from .spin_bloch import SpinBathSpec
 
 REGIMES = ("free", "ohmic-high-t", "low-t", "decoupled-high-t")
 
+# cap on samples and x_samples: a typo such as an extra zero fails at
+# parse time instead of filling memory and disk
+MAX_SAMPLES = 10 ** 7
+
 
 @dataclass(frozen=True)
 class FreeCatParams:
@@ -72,7 +76,7 @@ class FreeCatParams:
         snapshots = sec.get_int("snapshots", default=5)
         if snapshots < 0:
             raise ConfigError(f"[{sec.name}] snapshots must be non-negative, got {snapshots}")
-        x_samples = sec.get_int("x_samples", default=2048)
+        x_samples = sec.get_int("x_samples", default=2048, maximum=MAX_SAMPLES)
         if x_samples < 2:
             raise ConfigError(f"[{sec.name}] x_samples must be at least 2, got {x_samples}")
 
@@ -207,14 +211,17 @@ class _Section:
             raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a finite number")
         return value
 
-    def get_int(self, key: str, default=None, required: bool = False):
+    def get_int(self, key: str, default=None, required: bool = False, maximum=None):
         raw = self._raw(key, required)
         if raw is None:
             return default
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise ConfigError(f"[{self.name}] {key} = {raw!r} is not an integer") from None
+        if maximum is not None and value > maximum:
+            raise ConfigError(f"[{self.name}] {key} = {raw!r} exceeds the cap of {maximum}")
+        return value
 
     def get_str(self, key: str, default=None, required: bool = False, choices=None):
         raw = self._raw(key, required)
@@ -296,7 +303,7 @@ def parse_config(text: str) -> RunConfig:
     time_sec = _Section("time", cp["time"])
     t_start = time_sec.get_float("start", default=0.0)
     t_end = time_sec.get_float("end", required=True)
-    n_samples = time_sec.get_int("samples", default=512)
+    n_samples = time_sec.get_int("samples", default=512, maximum=MAX_SAMPLES)
     time_sec.reject_leftovers()
 
     extra_modes = [m for m in MODES if m != mode and m in cp]

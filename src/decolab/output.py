@@ -3,8 +3,45 @@
 Identical inputs must produce byte-identical files: floats are always
 written with 17 significant digits, metadata carries a hash of the run
 configuration instead of timestamps, and ordering is fixed everywhere.
+
+Table numbers are written by a numpy kernel whose bytes are those of
+"%.16e", CPython's correctly rounded conversion (format_float's too), for
+every float64.  For finite x with 1e-290 <= |x| < 1e290 it finds the
+decimal exponent k and the 17-digit integer n = round(|x| 10^(16-k)):
+
+* k starts at floor(log10 |x|) and moves by one where the scaled value
+  lies outside [10^16 - 0.04, 10^17 + 0.4).  In the window's margins k and
+  its neighbour give the same text: both round to 1.0000000000000000e..;
+* 10^m is held as hi + lo: hi is 10^m correctly rounded and lo the
+  remainder 10^m - hi correctly rounded, both from exact integers.  The
+  product |x| hi is split exactly into p + e by Dekker's algorithm (Dekker
+  1971), and r = e + |x| lo.  As p >= 10^16 > 2^53, p is an integer, so
+  n = p + floor(r), plus one where the fraction r - floor(r) exceeds 1/2;
+  n = 10^17 becomes 10^16 at k + 1.
+
+Error bound: p + r differs from |x| 10^(16-k) < 10^17 by at most 6e-15,
+below 1e-13 of a last-digit unit: 1.2e-15 from lo's rounding (2^-106
+relative), 1.2e-15 from rounding |x| lo, 3.6e-15 from the sum e + |x| lo
+(|r| < 32).  floor(r) and r - floor(r) are exact.
+
+Fallback domain, formatted by "%.16e" itself: NaN and +-inf; |x| < 1e-290
+or |x| >= 1e290 (10^(16-k) or its Dekker halves would leave the normal
+range), zeros excepted; and every value whose fraction lies within 1e-6
+of 1/2.  That last margin holds the 6e-15 error many times over and so
+catches exact decimal ties such as 1234567890123456.25, which CPython
+rounds half to even: the double-double cannot tell an exact tie from a
+value 1e-14 away from one.  A value whose corrected k still leaves the
+window would fall back too; none is known.  Zeros are written directly,
+with their sign.
+
+The text of a block is laid out in a uint8 matrix, one fixed 25-byte slot
+per number (sign, digits, exponent of up to 3 digits, separator) after the
+structured-text "r<i> = " prefix, and a boolean mask of the same shape
+drops the unused bytes (a "+" sign, a third exponent digit, the leading
+zeros of i) in one compress per block.
 """
 
+import functools
 import hashlib
 from pathlib import Path
 
@@ -14,9 +51,26 @@ DELIMITED = "delimited-text"
 STRUCTURED = "structured-text"
 FORMATS = (DELIMITED, STRUCTURED)
 
-# rows formatted per string operation by write_table; bounds the text held
-# in memory at once
+# rows formatted per kernel call by write_table; bounds the memory held at once
 BLOCK_ROWS = 4096
+
+# values per kernel pass inside a block: bounds its temporaries to about 0.5 MB
+_CHUNK = 4096
+# |x| outside [_SMALLEST, _LARGEST) is formatted by "%.16e" (module docstring)
+_SMALLEST = 1e-290
+_LARGEST = 1e290
+_TIE_MARGIN = 1e-6
+# 10^m is tabulated for m = 16 - k in [_M_LOW, _M_HIGH]: k estimates for the
+# domain above lie in [-291, 290], corrected ones in [-292, 291]
+_M_LOW = -276
+_M_HIGH = 308
+# Veltkamp's constant 2^27 + 1: splits a double into two 26-bit halves
+_SPLIT = 134217729.0
+# a number's slot: sign, 17 digits and the point, "e", the exponent's sign
+# and 3 digits, then the separator ("," or a newline)
+_SLOT = 25
+_SEPARATOR = 24
+_ASCII_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
 
 
 def format_float(x: float) -> str:
@@ -37,40 +91,207 @@ def data_extension(fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+@functools.cache
+def _power_table() -> np.ndarray:
+    """Rows hi, lo, hi's Dekker halves for 10^m, m = _M_LOW .. _M_HIGH,
+    from exact integers; built on first use (about 0.5 ms)."""
+    his, los = [], []
+    q = 10 ** -_M_LOW
+    for _ in range(_M_LOW, 0):  # 10^m = 1 / q
+        hi = 1 / q  # int / int rounds correctly
+        num, den = hi.as_integer_ratio()
+        his.append(hi)
+        los.append((den - num * q) / (den * q))  # 10^m - hi, rounded once
+        q //= 10
+    power = 1
+    for _ in range(0, _M_HIGH + 1):
+        hi = float(power)  # int -> float rounds correctly
+        his.append(hi)
+        los.append(float(power - int(hi)))
+        power *= 10
+    hi = np.array(his)
+    # Veltkamp's split into 26-bit halves, scaled by 2^-100 first where
+    # _SPLIT * hi would overflow (the scaling is exact)
+    scale = np.where(hi > 1e290, 2.0 ** 100, 1.0)
+    scaled = hi / scale
+    c = _SPLIT * scaled
+    high = c - (c - scaled)
+    table = np.stack([hi, np.array(los), high * scale, (scaled - high) * scale])
+    table.flags.writeable = False
+    return table
+
+
+@functools.cache
+def _quad_table() -> np.ndarray:
+    """"0000" .. "9999", each 4-byte string as one uint32, so that a gather
+    moves four digits at once; built on first use."""
+    i = np.arange(10_000, dtype=np.uint16)
+    digits = np.empty((10_000, 4), dtype=np.uint8)
+    for place, decade in enumerate((1000, 100, 10, 1)):
+        digits[:, place] = i // decade % 10 + ord("0")
+    table = digits.view(np.uint32)[:, 0]
+    table.flags.writeable = False
+    return table
+
+
+def _scaled_floor(a: np.ndarray, k: np.ndarray):
+    """floor(a 10^(16-k)) as int64 and the fraction beyond it, from the
+    double-double p + r, which is within 6e-15 of a 10^(16-k) (module
+    docstring).  p is an integer wherever k is right."""
+    index = np.clip(16 - k - _M_LOW, 0, _M_HIGH - _M_LOW)
+    hi, lo, hi_high, hi_low = (row.take(index) for row in _power_table())
+    c = _SPLIT * a
+    a_high = c - (c - a)
+    a_low = a - a_high
+    p = a * hi
+    r = (((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) + a_low * hi_low) + a * lo
+    floor = np.floor(r)
+    return p.astype(np.int64) + floor.astype(np.int64), r - floor
+
+
+def _off_by_one(n: np.ndarray, fraction: np.ndarray) -> np.ndarray:
+    """Where the scaled value n + fraction lies outside the window
+    [10^16 - 0.04, 10^17 + 0.4), so that k must move.  Inside the window's
+    margins both k and the next decade round to the same text ("1.0...e")."""
+    return (
+        (n < 10 ** 16 - 1) | ((n == 10 ** 16 - 1) & (fraction < 0.96))
+        | (n > 10 ** 17) | ((n == 10 ** 17) & (fraction >= 0.4))
+    )
+
+
+def _decimal(values: np.ndarray):
+    """n, k and the fallback mask for an array of values: outside the
+    fallback, the value is +-n 10^(k-16), n rounded to nearest, with
+    10^16 <= n < 10^17, or n = k = 0 for a zero."""
+    a = np.abs(values)
+    regular = (a >= _SMALLEST) & (a < _LARGEST)  # False for NaN, inf and 0
+    a = np.where(regular, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    n, fraction = _scaled_floor(a, k)
+    wrong = _off_by_one(n, fraction)
+    if wrong.any():
+        k[wrong] += np.where(n[wrong] >= 10 ** 17, 1, -1)
+        n[wrong], fraction[wrong] = _scaled_floor(a[wrong], k[wrong])
+        wrong = _off_by_one(n, fraction)
+    n += fraction > 0.5
+    carried = n == 10 ** 17  # rounded up to the next decade
+    n[carried] = 10 ** 16
+    k[carried] += 1
+    fallback = ~regular | wrong | (np.abs(fraction - 0.5) < _TIE_MARGIN)
+    zero = values == 0.0
+    # a zero is written from n = k = 0; a fallback's slot is overwritten,
+    # and n = k = 0 keeps its digit lookups in range
+    n[fallback] = 0
+    k[fallback] = 0
+    return n, k, fallback & ~zero
+
+
+def _layout(rows: int, columns: int, prefix: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constant bytes of a block and an all-True keep mask: a prefix of
+    `prefix` bytes, then one _SLOT per number."""
+    out = np.zeros((rows, prefix + columns * _SLOT), dtype=np.uint8)
+    cells = out[:, prefix:].reshape(rows, columns, _SLOT)
+    cells[..., 0] = ord("-")
+    cells[..., 2] = ord(".")
+    cells[..., 19] = ord("e")
+    cells[..., _SEPARATOR] = ord(",")
+    cells[:, -1, _SEPARATOR] = ord("\n")
+    if prefix:
+        out[:, 0] = ord("r")
+        out[:, prefix - 3:prefix] = np.frombuffer(b" = ", dtype=np.uint8)
+    return out, np.ones(out.shape, dtype=bool)
+
+
+def _write_numbers(values: np.ndarray, cells: np.ndarray, kept: np.ndarray) -> list:
+    """Write the (rows, columns) values into their slots: bytes into cells,
+    which bytes count into kept.  Returns the (row, column) of each value
+    written by "%.16e", whose slot's constant bytes it overwrote."""
+    n, k, fallback = _decimal(values)
+    kept[..., 0] = np.signbit(values)
+    # n = leading 10^16 + (q0 10^12 + q1 10^8 + q2 10^4 + q3): the digits
+    # after the point come four at a time from _quad_table()
+    upper, low = np.divmod(n, 10 ** 8)
+    leading, high = np.divmod(upper, 10 ** 8)
+    quads = np.stack(np.divmod(np.stack([high, low], axis=-1), 10 ** 4), axis=-1)
+    cells[..., 1] = _ASCII_DIGITS[leading]
+    quad_table = _quad_table()
+    cells[..., 3:19] = quad_table[quads.reshape(*values.shape, 4)].view(np.uint8)
+    cells[..., 20] = np.where(k < 0, ord("-"), ord("+"))
+    cells[..., 21:24] = quad_table[np.abs(k)].view(np.uint8).reshape(*values.shape, 4)[..., 1:]
+    kept[..., 21] = cells[..., 21] != ord("0")  # a third exponent digit only from 100 on
+    slow = list(zip(*np.nonzero(fallback)))
+    for i, j in slow:
+        text = np.frombuffer(b"%.16e" % values[i, j], dtype=np.uint8)
+        cells[i, j, :text.size] = text
+        kept[i, j, :_SEPARATOR] = np.arange(_SEPARATOR) < text.size
+    return slow
+
+
+def _format_block(
+    block: np.ndarray, out: np.ndarray, keep: np.ndarray, prefix: int, first_row: int
+):
+    """The text of `block`'s rows as bytes, written into out and keep, which
+    _layout made for at least as many rows: out[keep] is the text."""
+    rows, columns = block.shape
+    out, keep = out[:rows], keep[:rows]
+    keep[...] = True
+    if prefix:  # "r<index> = ", the index in prefix - 4 digit places
+        index = np.arange(first_row, first_row + rows)
+        places = prefix - 4
+        rest = index
+        for column in range(places, 0, -1):
+            rest, digit = np.divmod(rest, 10)
+            out[:, column] = _ASCII_DIGITS[digit]
+            if column < places:  # leading zeros are dropped
+                keep[:, column] = index >= 10 ** (places - column)
+    cells = out[:, prefix:].reshape(rows, columns, _SLOT)
+    kept = keep[:, prefix:].reshape(rows, columns, _SLOT)
+    step = max(1, _CHUNK // columns)
+    slow = []
+    for start in range(0, rows, step):
+        part = slice(start, start + step)
+        slow += [(start + i, j) for i, j in _write_numbers(block[part], cells[part], kept[part])]
+    text = out[keep]
+    for i, j in slow:  # restore the constant bytes for the next block
+        cells[i, j, [0, 2, 19]] = np.frombuffer(b"-.e", dtype=np.uint8)
+    return text
+
+
 def write_table(path: Path, meta: dict, columns: list[str], rows, fmt: str) -> None:
     """Write one table of float columns in the requested format.
 
     delimited-text: '#' key = value header lines, then bare comma-separated
     rows (numpy.loadtxt-friendly).  structured-text: [meta] and [data]
     sections with one indexed key per row.  Data with no values, such as an
-    empty list, is a table of no rows.
+    empty list, is a table of no rows.  Lines end in a newline byte on
+    every platform.
 
-    Rows are formatted BLOCK_ROWS at a time, each block by one `%`
-    operation: "%.16e" and format_float's f-string share CPython's double
-    formatter, so the bytes are those of format_float, number by number.
+    Rows are formatted BLOCK_ROWS at a time by the kernel the module
+    docstring describes; every number is written as "%.16e" writes it.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if not rows.size:
         rows = rows.reshape(0, len(columns))
     if rows.shape[1] != len(columns):
         raise ValueError(f"{rows.shape[1]} columns of data for {len(columns)} names")
-    line = ",".join(["%.16e"] * len(columns)) + "\n"
     if fmt == DELIMITED:
         header = [f"# {key} = {value}" for key, value in meta.items()]
         header.append(f"# columns = {','.join(columns)}")
+        prefix = 0
     elif fmt == STRUCTURED:
         header = ["[meta]", *(f"{key} = {value}" for key, value in meta.items())]
         header += [f"columns = {','.join(columns)}", f"rows = {rows.shape[0]}", "[data]"]
-        line = "r%d = " + line
+        prefix = len(str(max(rows.shape[0] - 1, 0))) + 4
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(header) + "\n")
-        for start in range(0, rows.shape[0], BLOCK_ROWS):
-            block = rows[start:start + BLOCK_ROWS]
-            if fmt == STRUCTURED:  # the row index rides along as a leading column, for "%d"
-                block = np.column_stack([np.arange(start, start + block.shape[0]), block])
-            handle.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+    with open(path, "wb") as handle:
+        handle.write(("\n".join(header) + "\n").encode("utf-8"))
+        if rows.shape[0]:
+            out, keep = _layout(min(rows.shape[0], BLOCK_ROWS), rows.shape[1], prefix)
+            for start in range(0, rows.shape[0], BLOCK_ROWS):
+                # the kernel's byte views need C-ordered intermediates
+                block = np.ascontiguousarray(rows[start:start + BLOCK_ROWS])
+                handle.write(_format_block(block, out, keep, prefix, start))
 
 
 def write_sections(path: Path, sections: dict) -> None:

@@ -28,6 +28,10 @@ from decolab.cat_free import (
     default_grid,
     free_kinematics,
     high_t_decoherence_time,
+    log_attenuation_decoupled_high_t,
+    log_attenuation_exact,
+    log_attenuation_from_terms,
+    log_attenuation_low_t,
     low_t_time_constant,
     normalization_constant,
     ohmic_high_t_kinematics,
@@ -357,6 +361,30 @@ class TestFieldRatioRecovery:
         field = cat_probability(spec, free_kinematics(1.0), 0.4)
         assert attenuation_from_field(field).value == pytest.approx(1.0, rel=1e-12)
 
+    def test_log_domain_terms_match_the_grid_ratio(self):
+        spec = CatSpec(mass=1.3, sigma=0.9, d=3.0)
+        kin = ohmic_high_t_kinematics(spec.mass, 2.0, 0.01)
+        field = cat_probability(spec, kin, 0.8)
+        recovered = log_attenuation_from_terms(spec, kin, 0.8, field.x)
+        assert recovered.n_points == field.x.size
+        assert recovered.value == pytest.approx(
+            math.log(attenuation_from_field(field).value), abs=1e-10
+        )
+
+    def test_log_domain_terms_recover_an_underflowed_fringe(self):
+        # 400 widths apart: p1 p2 underflows everywhere and a(t) itself is 0.0
+        spec = CatSpec(mass=1.0, sigma=1.0, d=400.0)
+        kin = ohmic_high_t_kinematics(1.0, 2.0, 0.01)
+        field = cat_probability(spec, kin, 2.0)
+        with pytest.raises(ValueError, match="no grid points"):
+            attenuation_from_field(field)
+        assert attenuation_exact(spec, kin, 2.0) == 0.0
+        exact = log_attenuation_exact(spec, kin, 2.0)
+        recovered = log_attenuation_from_terms(spec, kin, 2.0, field.x)
+        assert exact == pytest.approx(-16000.0, rel=1e-12)
+        assert abs(recovered.value - exact) < 1e-10
+        assert recovered.max_deviation < 1e-9
+
 
 class TestHighTemperatureLaw:
     def test_characteristic_time(self):
@@ -441,6 +469,19 @@ class TestLowTemperatureLaw:
         with pytest.raises(ValueError):
             attenuation_low_t(spec, zeta=0.0, t=0.1)
 
+    def test_log_form_is_the_exponent(self):
+        # exp of the log form is the curve, bit for bit; the log stays
+        # finite where a(t) underflows to 0.0
+        spec = CatSpec(mass=1.0, sigma=0.01, d=400.0)
+        t = np.linspace(0.0, 0.9, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeValidityWarning)
+            log_a = log_attenuation_low_t(spec, 1.0, t)
+            a = attenuation_low_t(spec, 1.0, t)
+            assert log_attenuation_low_t(spec, 1.0, 0.0) == 0.0
+        assert np.array_equal(a, [math.exp(v) for v in log_a])
+        assert np.all(np.isfinite(log_a)) and np.any(a == 0.0)
+
 
 class TestDecoupledHighTemperatureLaw:
     def test_zero_coupling_keeps_contrast(self):
@@ -469,6 +510,15 @@ class TestDecoupledHighTemperatureLaw:
             attenuation_decoupled_high_t(spec, 0.5, 2.0, 2.0)
         with pytest.warns(RegimeValidityWarning):
             attenuation_decoupled_high_t(spec, 0.5, 2.0, 1.0)
+
+    def test_log_form_is_the_exponent(self):
+        spec = CatSpec(mass=1.0, sigma=0.01, d=400.0)
+        t = np.linspace(0.0, 0.09, 40)
+        log_a = log_attenuation_decoupled_high_t(spec, 1.0, 2.0, t)
+        a = attenuation_decoupled_high_t(spec, 1.0, 2.0, t)
+        assert np.array_equal(a, [math.exp(v) for v in log_a])
+        assert np.all(np.isfinite(log_a)) and np.any(a == 0.0)
+        assert log_attenuation_decoupled_high_t(spec, 0.0, 2.0, 0.7) == 0.0
 
     def test_early_cubic_growth(self):
         # short times: -ln a ~ zeta k T d^2 t^3 / (12 m^2 sigma^4)

@@ -229,12 +229,71 @@ class TestRunCommand:
         report = (out / "report.txt").read_text()
         assert "c0_deviation = 0.0000000000000000e+00" in report
 
+    def test_underflowed_low_t_fringe_passes_the_bounds_check(self, tmp_path, capsys):
+        # sigma = 0.01 and d = 400 drive the low-t a(t) to 0.0 while its log
+        # stays finite; judged on a it read as a 1e-9 excursion and failed
+        cfg = write_cfg(
+            tmp_path,
+            """
+            [run]
+            mode = free-cat
+
+            [time]
+            end = 0.9
+
+            [free-cat]
+            mass = 1.0
+            sigma = 0.01
+            d = 400.0
+            regime = low-t
+            zeta = 1.0
+            """,
+        )
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--verify", "--out", str(out)]) == 0
+        assert "verify attenuation_bounds: PASS" in capsys.readouterr().out
+        assert np.any(read_table(out / "attenuation.csv")[:, 1] == 0.0)
+        assert "c0_deviation = 0.0000000000000000e+00" in (out / "report.txt").read_text()
+
+    def test_underflowed_fringe_with_snapshots_verifies(self, tmp_path, capsys):
+        # p1 p2 underflows at every grid point, so the ratio identity is
+        # recovered from log-domain terms; the packets, 400 widths apart,
+        # are integrated one window each
+        cfg = write_cfg(
+            tmp_path,
+            """
+            [run]
+            mode = free-cat
+
+            [time]
+            end = 2.0
+
+            [free-cat]
+            mass = 1.0
+            sigma = 1.0
+            d = 400.0
+            regime = ohmic-high-t
+            temperature = 2.0
+            gamma = 0.01
+            snapshots = 2
+            x_samples = 64
+            """,
+        )
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--verify", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "FAIL" not in printed
+        assert "verify attenuation_ratio_identity: PASS" in printed
+        report = (out / "report.txt").read_text()
+        assert "c3_name = attenuation_ratio_identity" in report
+        ratio = float(report.split("c3_deviation = ")[1].split()[0])
+        assert math.isfinite(ratio) and ratio <= runner_mod.RATIO_TOL
+
     def test_bounds_on_log_attenuation_fail_closed(self):
-        curve = np.array([1.0, 0.5])
-        at_start = runner_mod._bounds_check(curve, np.array([-0.0, math.log(0.5)]))
+        at_start = runner_mod._bounds_check(np.array([-0.0, math.log(0.5)]))
         assert at_start.passed and math.copysign(1.0, at_start.deviation) == 1.0
         for log_curve in ([-0.0, math.nan], [-0.0, -math.inf], [-0.0, 1e-9]):
-            assert not runner_mod._bounds_check(curve, np.array(log_curve)).passed
+            assert not runner_mod._bounds_check(np.array(log_curve)).passed
 
     def test_low_t_regime_skips_snapshots_with_note(self, tmp_path, capsys):
         cfg = write_cfg(

@@ -7,6 +7,7 @@ import textwrap
 import pytest
 
 from decolab.config import (
+    MAX_SAMPLES,
     FreeCatParams,
     OscillatorParams,
     RunConfig,
@@ -251,6 +252,20 @@ class TestRejections:
 
     def test_too_few_samples(self):
         self.reject(FREE_MINIMAL.replace("end = 2.0", "end = 2.0\nsamples = 1"), "samples")
+
+    @pytest.mark.parametrize("section, key, anchor", [
+        ("time", "samples", "end = 2.0"),
+        ("free-cat", "x_samples", "regime = free"),
+    ])
+    def test_sample_counts_are_capped(self, section, key, anchor):
+        # refused at the boundary, naming section, key and value; the cap
+        # itself still parses
+        assert MAX_SAMPLES == 10 ** 7
+        cfg(FREE_MINIMAL.replace(anchor, f"{anchor}\n{key} = {MAX_SAMPLES}"))
+        self.reject(
+            FREE_MINIMAL.replace(anchor, f"{anchor}\n{key} = 10000001"),
+            re.escape(f"[{section}] {key} = '10000001' exceeds the cap of 10000000"),
+        )
 
     def test_unused_regime_key(self):
         self.reject(

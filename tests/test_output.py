@@ -1,13 +1,18 @@
 """Deterministic text output: float formatting, tables, hashing."""
 
 import math
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decolab.output import (
     BLOCK_ROWS,
     DELIMITED,
+    FORMATS,
     STRUCTURED,
     config_hash,
     data_extension,
@@ -165,3 +170,110 @@ class TestBlockWriter:
         expected = reference_table_text({"kind": "demo"}, ["t", "a"], np.empty((0, 2)), fmt)
         assert flat.read_text() == shaped.read_text() == expected
         assert "r0" not in expected and expected.endswith(("[data]\n", "# columns = t,a\n"))
+
+
+def assert_writes_as_reference(tmp_path, values, width: int, fmt: str = DELIMITED):
+    """write_table on `values`, filled row by row into `width` columns (the
+    last row padded with zeros), equals the per-number reference byte for byte."""
+    values = np.asarray(values, dtype=float).ravel()
+    values = np.concatenate([values, np.zeros(-values.size % width)]).reshape(-1, width)
+    columns = [f"c{i}" for i in range(width)]
+    path = tmp_path / "table.txt"
+    write_table(path, {"kind": "sweep"}, columns, values, fmt)
+    expected = reference_table_text({"kind": "sweep"}, columns, values, fmt)
+    assert path.read_bytes() == expected.encode()
+
+
+# row counts on both sides of the block boundary, and small ones
+ROW_COUNTS = [0, 1, 2, 3, 17, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
+ANY_FLOAT = st.one_of(
+    st.floats(),  # NaN, +-inf, +-0 and subnormals included
+    st.integers(0, 2 ** 64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+)
+
+
+class TestKernelMatchesPercentFormatting:
+    """The vectorised writer against "%.16e", number by number."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(ANY_FLOAT, min_size=1, max_size=40),
+        width=st.integers(1, 7),
+        n_rows=st.sampled_from(ROW_COUNTS),
+        fmt=st.sampled_from(FORMATS),
+    )
+    def test_any_floats_any_shape(self, values, width, n_rows, fmt):
+        rows = np.resize(np.array(values, dtype=float), (n_rows, width))
+        columns = [f"c{i}" for i in range(width)]
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "table.txt"
+            write_table(path, {"kind": "demo"}, columns, rows, fmt)
+            expected = reference_table_text({"kind": "demo"}, columns, rows, fmt)
+            assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_exact_decimal_ties_round_half_even(self, tmp_path, fmt):
+        # m/4 above 2^50: the 18th significant digit is an exact 5, and
+        # CPython rounds the tie to the even 17th digit
+        assert reference_float(1234567890123456.25) == "1.2345678901234562e+15"
+        assert reference_float(1234567890123456.75) == "1.2345678901234568e+15"
+        base = np.arange(2 ** 50, 2 ** 50 + 2000, dtype=float)
+        ties = np.concatenate([base + 0.25, base + 0.75, -(base + 0.25), [1234567890123456.25]])
+        assert_writes_as_reference(tmp_path, ties, 4, fmt)
+
+    def test_neighbours_of_powers_of_ten(self, tmp_path):
+        powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+        values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        assert_writes_as_reference(tmp_path, np.concatenate([values, -values]), 3)
+
+    def test_powers_of_two(self, tmp_path):
+        values = np.ldexp(1.0, np.arange(-1074, 1024))
+        assert_writes_as_reference(tmp_path, np.concatenate([values, -values]), 5)
+
+    def test_edges_of_the_fallback_domain(self, tmp_path):
+        edges = np.array([1e290, 1e-290])
+        values = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        assert_writes_as_reference(tmp_path, np.concatenate([values, -values]), 2)
+
+    @pytest.mark.parametrize("layout", ["fortran", "transposed", "strided"])
+    def test_any_memory_layout(self, tmp_path, layout):
+        rng = np.random.default_rng(3)
+        rows = {
+            "fortran": lambda: np.asfortranarray(rng.standard_normal((BLOCK_ROWS + 5, 3))),
+            "transposed": lambda: rng.standard_normal((3, 50)).T,
+            "strided": lambda: rng.standard_normal((50, 6))[:, ::2],
+        }[layout]()
+        columns = ["a", "b", "c"]
+        for fmt in FORMATS:
+            path = tmp_path / "table.txt"
+            write_table(path, {}, columns, rows, fmt)
+            assert path.read_bytes() == reference_table_text({}, columns, rows, fmt).encode()
+
+    def test_seeded_random_bit_patterns(self, tmp_path):
+        bits = np.random.default_rng(20261018).integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+        assert_writes_as_reference(tmp_path, bits.view(np.float64), 4)
+
+    def test_percent_formats_only_the_fallback_domain(self):
+        # inside [1e-290, 1e290) only values within 1e-6 of a decimal tie
+        # reach "%.16e"; the +-1 correction of k keeps the neighbours of
+        # every power of ten in the kernel
+        from decolab.output import _decimal
+
+        def near_tie(x: float) -> bool:
+            exponent = int(reference_float(x).split("e")[1])
+            scaled = abs(Fraction(x)) * Fraction(10) ** (16 - exponent)
+            return abs(scaled - math.floor(scaled) - Fraction(1, 2)) < Fraction(1, 10 ** 6)
+
+        powers = np.array([float(f"1e{k}") for k in range(-289, 290)])
+        near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        near = np.concatenate([near, -near, [0.0, -0.0]])
+        # the one exception is an exact tie: 999999999999999.875 has 18 digits
+        assert set(np.abs(near[_decimal(near)[2]])) == {999999999999999.875}
+        outside = np.array([math.nan, math.inf, -math.inf, 5e-324, 1e-300, 1e300, -1e290])
+        assert _decimal(outside)[2].all()
+        assert near_tie(1234567890123456.25) and _decimal(np.array([1234567890123456.25]))[2].all()
+        bits = np.random.default_rng(7).integers(0, 2 ** 64, 100_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[(np.abs(values) >= 1e-290) & (np.abs(values) < 1e290)]
+        fallen = values[_decimal(values)[2]].tolist()
+        assert fallen and all(near_tie(x) for x in fallen)
