@@ -243,7 +243,6 @@ class _CatCoefficients:
     # time-dependent scalars shared by the vector and scalar evaluators
     w2: float
     n2: float                 # N^2
-    attenuation: float        # a(t)
     envelope_factor: float    # exp(-d^2/8w^2) * a(t)
     phase_slope: float        # theta(x) = phase_slope * x
 
@@ -261,12 +260,10 @@ def _coefficients(spec: CatSpec, kin: ReservoirKinematics, t: float) -> _CatCoef
     c, w2, log_a = _log_attenuation(spec, kin, t)
     d2 = spec.d * spec.d
     n = normalization_constant(spec.sigma, spec.d)
-    a = math.exp(log_a)
     return _CatCoefficients(
         w2=w2,
         n2=n * n,
-        attenuation=a,
-        envelope_factor=math.exp(-d2 / (8.0 * w2)) * a,
+        envelope_factor=math.exp(-d2 / (8.0 * w2)) * math.exp(log_a),
         phase_slope=c * spec.d / (4.0 * sigma2 * w2),
     )
 

@@ -62,12 +62,12 @@ class FreeCatParams:
         if needs_temperature and temperature <= 0:
             raise ConfigError(f"[{sec.name}] regime {regime!r} needs a positive temperature")
         gamma = sec.get_float("gamma", default=0.0)
-        zeta = sec.get_float("zeta") if sec.has("zeta") else None
+        zeta = sec.get_float("zeta")
         if needs_coupling and gamma == 0.0 and zeta is None:
             raise ConfigError(f"[{sec.name}] regime {regime!r} needs gamma or zeta")
 
-        x_min = sec.get_float("x_min") if sec.has("x_min") else None
-        x_max = sec.get_float("x_max") if sec.has("x_max") else None
+        x_min = sec.get_float("x_min")
+        x_max = sec.get_float("x_max")
         if (x_min is None) != (x_max is None):
             raise ConfigError(f"[{sec.name}] x_min and x_max must be given together")
         if x_min is not None and not x_min < x_max:
@@ -106,7 +106,7 @@ class OscillatorParams:
             d=sec.get_float("d", required=True),
             temperature=_resolve_temperature(sec, omega, constants),
         )
-        n_revivals = sec.get_int("n_revivals") if sec.has("n_revivals") else None
+        n_revivals = sec.get_int("n_revivals")
         if n_revivals is not None and n_revivals < 1:
             raise ConfigError(f"[{sec.name}] n_revivals must be positive, got {n_revivals}")
         return cls(spec=spec, n_revivals=n_revivals)
@@ -121,16 +121,14 @@ class SpinParams:
     @classmethod
     def parse(cls, sec: "_Section", constants: PhysicalConstants) -> "SpinParams":
         omega = sec.get_float("omega", required=True)
-        has_g = sec.has("g_n")
-        has_mu = sec.has("mu0")
-        if has_g != has_mu:
+        if sec.has("g_n") != sec.has("mu0"):
             raise ConfigError(f"[{sec.name}] g_n and mu0 must be given together")
         spec = SpinBathSpec(
             gamma=sec.get_float("gamma", required=True),
             omega=omega,
             temperature=_resolve_temperature(sec, omega, constants),
-            g_n=sec.get_float("g_n") if has_g else None,
-            mu0=sec.get_float("mu0") if has_mu else None,
+            g_n=sec.get_float("g_n"),
+            mu0=sec.get_float("mu0"),
         )
         initial = (
             sec.get_float("p_x", default=0.0),

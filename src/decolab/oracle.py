@@ -30,6 +30,15 @@ class QuadratureResult(NamedTuple):
     evaluations: int
 
 
+def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
+    return width / 6.0 * (fa + 4.0 * fm + fb)
+
+
+def _nonfinite(xs, ys) -> ValueError:
+    x, y = next((x, y) for x, y in zip(xs, ys) if not math.isfinite(y))
+    return ValueError(f"integrand returned non-finite value {y!r} at x = {x!r}")
+
+
 def integrate_adaptive(
     f: Callable[[float], float], a: float, b: float, tol: float = 1e-10
 ) -> QuadratureResult:
@@ -37,34 +46,25 @@ def integrate_adaptive(
 
     Classic interval bisection: each panel is accepted once the Richardson
     error estimate |S_fine - S_coarse|/15 drops below its share of the
-    tolerance, and the extrapolated value is accumulated.  Raises
-    ConvergenceError if the global evaluation budget (1e7 calls) runs out.
+    tolerance, and the extrapolated value is accumulated.  `evaluations` is
+    3 (a, midpoint, b) plus 2 per panel examined (its quarter points).
+    Raises ValueError at a non-finite value, and ConvergenceError before
+    the evaluations would pass the global budget (1e7 calls).
     """
     if not b > a:
         raise ValueError(f"need b > a, got [{a}, {b}]")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-
-    evals = 0
-
-    def call(x: float) -> float:
-        nonlocal evals
-        evals += 1
-        if evals > EVALUATION_BUDGET:
-            raise ConvergenceError(
-                f"quadrature exhausted its budget of {EVALUATION_BUDGET} evaluations"
-            )
-        y = f(x)
-        if not math.isfinite(y):
-            raise ValueError(f"integrand returned non-finite value {y!r} at x = {x!r}")
-        return y
-
-    def simpson(fa: float, fm: float, fb: float, width: float) -> float:
-        return width / 6.0 * (fa + 4.0 * fm + fb)
+    exhausted = f"quadrature exhausted its budget of {EVALUATION_BUDGET} evaluations"
+    evals = 3
+    if evals > EVALUATION_BUDGET:
+        raise ConvergenceError(exhausted)
 
     m = 0.5 * (a + b)
-    fa, fm, fb = call(a), call(m), call(b)
-    whole = simpson(fa, fm, fb, b - a)
+    fa, fm, fb = f(a), f(m), f(b)
+    if not (math.isfinite(fa) and math.isfinite(fm) and math.isfinite(fb)):
+        raise _nonfinite((a, m, b), (fa, fm, fb))
+    whole = _simpson(fa, fm, fb, b - a)
 
     total = 0.0
     err_total = 0.0
@@ -73,14 +73,19 @@ def integrate_adaptive(
     # coarse/fine agreement on an unresolved oscillation cannot slip through
     stack = [(a, b, fa, fm, fb, whole, tol, 0)]
     while stack:
+        if evals + 2 > EVALUATION_BUDGET:
+            raise ConvergenceError(exhausted)
+        evals += 2
         a0, b0, fa, fm, fb, coarse, panel_tol, depth = stack.pop()
         m0 = 0.5 * (a0 + b0)
         lm = 0.5 * (a0 + m0)
         rm = 0.5 * (m0 + b0)
-        flm, frm = call(lm), call(rm)
+        flm, frm = f(lm), f(rm)
+        if not (math.isfinite(flm) and math.isfinite(frm)):
+            raise _nonfinite((lm, rm), (flm, frm))
         half = 0.5 * (b0 - a0)
-        left = simpson(fa, flm, fm, half)
-        right = simpson(fm, frm, fb, half)
+        left = _simpson(fa, flm, fm, half)
+        right = _simpson(fm, frm, fb, half)
         delta = left + right - coarse
         if depth >= 2 and abs(delta) <= panel_tol:
             total += left + right + delta / 15.0

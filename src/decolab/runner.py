@@ -61,10 +61,7 @@ def recorded_warnings():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         yield texts
-    for w in caught:
-        text = str(w.message)
-        if text not in texts:
-            texts.append(text)
+    texts.extend(dict.fromkeys(str(w.message) for w in caught))
 
 
 def _time_grid(config: RunConfig) -> np.ndarray:
@@ -152,7 +149,7 @@ def _run_free_cat(config: RunConfig):
     if config.verify:
         checks = [_bounds_check(log_curve)]
         if kin is not None and params.snapshots:
-            checks.extend(_field_checks(params.cat, kin, snap_times))
+            checks.extend(field_checks(params.cat, kin, snap_times))
     return files, checks
 
 
@@ -208,11 +205,13 @@ def ratio_identity_deviation(spec: CatSpec, kin, t: float) -> float:
     return abs(recovered - exact)
 
 
-def _field_checks(spec: CatSpec, kin, snap_times) -> list:
+def field_checks(spec: CatSpec, kin, times) -> list:
+    """Normalization, term time-invariance and ratio-identity checks of the
+    cat density at each of `times`: the worst deviation of each."""
     norm_devs = []
     ratio_devs = []
     term_integrals = []  # one row per snapshot: P1, P2 and the interference term
-    for t in snap_times:
+    for t in times:
         pw = cat_free.cat_pointwise(spec, kin, float(t))
         norm_devs.append(normalization_deviation(spec, pw))
         term_integrals.append([

@@ -15,11 +15,9 @@ from decolab.cat_free import (
     CatSpec,
     attenuation_decoupled_high_t,
     attenuation_exact,
-    attenuation_from_field,
     attenuation_high_t,
     attenuation_low_t,
     cat_pointwise,
-    cat_probability,
     decoupled_decoherence_time,
     free_kinematics,
     high_t_decoherence_time,
@@ -35,6 +33,13 @@ from decolab.cat_oscillator import (
 from decolab.cli import main
 from decolab.core import CGS, RegimeValidityWarning, classicality_ratio, thermal_de_broglie
 from decolab.oracle import integrate_adaptive, integrate_rk4, lindblad_bloch_deviation, lindblad_rhs
+from decolab.runner import (
+    NORMALIZATION_TOL,
+    RATIO_TOL,
+    TERM_INVARIANCE_TOL,
+    field_checks,
+    ratio_identity_deviation,
+)
 from decolab.spin_bloch import (
     SpinBathSpec,
     bloch_evolve,
@@ -108,21 +113,13 @@ class TestCriterion2:
         worst_norm = 0.0
         worst_invariance = 0.0
         for spec, kin, _, times in configs:
-            integrals = {"p1": [], "p2": [], "fringe": []}
-            for t in times:
-                pw = cat_pointwise(spec, kin, float(t))
-                half = spec.d / 2.0 + 10.0 * math.sqrt(pw.w2)
-                total = integrate_adaptive(pw.total, -half, half, tol=1e-9)
-                worst_norm = max(worst_norm, abs(total.value - 1.0))
-                integrals["p1"].append(integrate_adaptive(pw.p1, -half, half, tol=1e-9).value)
-                integrals["p2"].append(integrate_adaptive(pw.p2, -half, half, tol=1e-9).value)
-                integrals["fringe"].append(
-                    2.0 * integrate_adaptive(pw.interference, -half, half, tol=1e-9).value
-                )
-            for vals in integrals.values():
-                worst_invariance = max(worst_invariance, max(vals) - min(vals))
-        assert worst_norm < 1e-6
-        assert worst_invariance < 1e-6
+            norm, invariance, ratio = field_checks(spec, kin, times)
+            assert (norm.name, invariance.name) == ("normalization", "term_time_invariance")
+            assert ratio.deviation < RATIO_TOL  # the third shipped check holds here too
+            worst_norm = max(worst_norm, norm.deviation)
+            worst_invariance = max(worst_invariance, invariance.deviation)
+        assert worst_norm < NORMALIZATION_TOL
+        assert worst_invariance < TERM_INVARIANCE_TOL
         summary(
             f"criterion 2: PASS (50 configs x 10 times: max |norm - 1| = {worst_norm:.2e}, "
             f"max term-integral drift = {worst_invariance:.2e}, both < 1e-6)"
@@ -138,10 +135,8 @@ class TestCriterion3:
             for t in times:
                 exact = attenuation_exact(spec, kin, float(t))
                 assert 0.0 < exact <= 1.0
-                field = cat_probability(spec, kin, float(t))
-                recovered = attenuation_from_field(field).value
-                worst = max(worst, abs(recovered / exact - 1.0))
-        assert worst < 1e-10
+                worst = max(worst, ratio_identity_deviation(spec, kin, float(t)))
+        assert worst < RATIO_TOL
         summary(
             f"criterion 3: PASS (field-recovered vs closed-form attenuation, "
             f"max rel dev = {worst:.2e} < 1e-10; a(0) = 1 and 0 < a <= 1 throughout)"

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +296,19 @@ class TestRunCommand:
         assert at_start.passed and math.copysign(1.0, at_start.deviation) == 1.0
         for log_curve in ([-0.0, math.nan], [-0.0, -math.inf], [-0.0, 1e-9]):
             assert not runner_mod._bounds_check(np.array(log_curve)).passed
+
+    def test_recorded_warnings_dedupe_in_linear_time(self):
+        # a long free-cat run past its regime's window warns once per sample;
+        # a list membership test made the dedupe quadratic in the message count
+        start = time.perf_counter()
+        with runner_mod.recorded_warnings() as texts:
+            for i in range(30_000):
+                warnings.warn(f"sample {i}")
+                warnings.warn("repeated")
+        elapsed = time.perf_counter() - start
+        assert texts[:3] == ["sample 0", "repeated", "sample 1"]
+        assert len(texts) == 30_001 and texts[-1] == "sample 29999"
+        assert elapsed < 1.0
 
     def test_low_t_regime_skips_snapshots_with_note(self, tmp_path, capsys):
         cfg = write_cfg(

@@ -6,8 +6,10 @@ import pathlib
 import numpy as np
 import pytest
 
+from decolab import runner
+from decolab.cat_free import cat_pointwise, free_kinematics
 from decolab.config import load_config
-from decolab.core import ConvergenceError, StateInvariantError
+from decolab.core import CatSpec, ConvergenceError, StateInvariantError
 from decolab.oracle import (
     Trajectory,
     _sparse_rows,
@@ -87,17 +89,72 @@ class TestQuadrature:
             integrate_adaptive(
                 lambda x: float("nan") if abs(x) < 0.25 else 1.0, -1.0, 1.0, tol=1e-8
             )
+        cases = [
+            (lambda x: abs(x - 0.5) < 0.1, 0.5),  # the initial midpoint
+            (lambda x: 0.2 < x < 0.3 or 0.7 < x < 0.8, 0.25),  # a panel's left quarter point
+            (lambda x: 0.7 < x < 0.8, 0.75),  # a panel's right quarter point
+        ]
+        for bad, first in cases:
+            with pytest.raises(ValueError, match=rf"non-finite value nan at x = {first!r}$"):
+                integrate_adaptive(lambda x: math.nan if bad(x) else 1.0, 0.0, 1.0, tol=1e-8)
 
     def test_budget_exhaustion(self, monkeypatch):
         # a discontinuity the refinement can never resolve to 1e-14; a small
         # budget keeps the test fast, the mechanism is the same
         import decolab.oracle as oracle_mod
 
-        monkeypatch.setattr(oracle_mod, "EVALUATION_BUDGET", 500)
-        with pytest.raises(ConvergenceError):
-            integrate_adaptive(
-                lambda x: 0.0 if x < math.pi / 10.0 else 1.0, 0.0, 1.0, tol=1e-14
-            )
+        for budget in (2, 3, 500, 501):
+            monkeypatch.setattr(oracle_mod, "EVALUATION_BUDGET", budget)
+            f = CountingIntegrand(lambda x: 0.0 if x < math.pi / 10.0 else 1.0)
+            with pytest.raises(ConvergenceError, match=f"budget of {budget} evaluations"):
+                integrate_adaptive(f, 0.0, 1.0, tol=1e-14)
+            assert f.calls <= budget
+
+    @pytest.mark.parametrize(
+        "g, a, b, tol",
+        [
+            (lambda x: 3.0 * x ** 4 - x + 2.0, -1.0, 2.0, 1e-12),
+            (lambda x: math.cos(50.0 * x), 0.0, 10.0, 1e-10),
+        ],
+    )
+    def test_evaluations_count_the_calls(self, g, a, b, tol):
+        f = CountingIntegrand(g)
+        assert integrate_adaptive(f, a, b, tol=tol).evaluations == f.calls
+
+    def test_evaluations_count_the_calls_of_windowed_cat_integrals(self, monkeypatch):
+        # d/2 > 20 w: one window per term, three quadratures in all
+        spec = CatSpec(mass=1.0, sigma=0.2, d=12.0)
+        pw = cat_pointwise(spec, free_kinematics(1.0), 0.0)
+        assert spec.d / 2.0 > 20.0 * math.sqrt(pw.w2)
+        results = []
+
+        def recorded(*args, **kwargs):
+            results.append(integrate_adaptive(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(runner.oracle, "integrate_adaptive", recorded)
+        f = CountingIntegrand(pw.total)
+        assert abs(runner._cat_integral(spec, pw, f) - 1.0) < 1e-9
+        assert len(results) == 3
+        assert sum(r.evaluations for r in results) == f.calls
+
+    def test_result_bits_are_pinned(self):
+        res = integrate_adaptive(lambda x: 1.0 / (1.0 + x * x), -4.0, 4.0, tol=1e-10)
+        assert (res.value.hex(), res.error_estimate.hex(), res.evaluations) == (
+            "0x1.5368c951e9cf5p+1", "0x1.6cb6846000000p-35", 2745
+        )
+
+
+class CountingIntegrand:
+    """Wraps g and counts the calls made to it."""
+
+    def __init__(self, g):
+        self.g = g
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.g(x)
 
 
 class TestMasterEquationGenerator:
