@@ -367,8 +367,10 @@ def cat_pointwise(spec: CatSpec, kin: ReservoirKinematics, t: float) -> CatPoint
     def interference(x: float) -> float:
         return norm * env * exp(-x * x * inv2w2) * cos(slope * x)
 
-    def total(x: float) -> float:
-        return p1(x) + p2(x) + 2.0 * interference(x)
+    def total(x: float) -> float:  # p1(x) + p2(x) + 2.0 * interference(x), inlined
+        dx, ex = x - half_d, x + half_d
+        return (norm * exp(-dx * dx * inv2w2) + norm * exp(-ex * ex * inv2w2)
+                + 2.0 * (norm * env * exp(-x * x * inv2w2) * cos(slope * x)))
 
     return CatPointwise(w2=w2, total=total, p1=p1, p2=p2, interference=interference)
 

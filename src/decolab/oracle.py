@@ -9,7 +9,10 @@ routes is the evidence.
 The raw two-level master equation is driven by its own RK4 loop on
 Python-scalar complex numbers, the four entries of vec(rho), because numpy
 call overhead on 4-element arrays would dominate it.  That loop rounds
-exactly as `integrate_rk4` on `lindblad_rhs` does (see `integrate_lindblad`).
+exactly as `integrate_rk4` on `lindblad_rhs` does, up to the sign of a zero,
+though it folds the superoperators' +-1, +-2 coefficients into the rates (a
+power-of-two scaling) and takes the last population row as the first one
+negated (round-to-nearest is symmetric); see `integrate_lindblad`.
 """
 
 import math
@@ -28,10 +31,6 @@ class QuadratureResult(NamedTuple):
     value: float
     error_estimate: float
     evaluations: int
-
-
-def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
-    return width / 6.0 * (fa + 4.0 * fm + fb)
 
 
 def _nonfinite(xs, ys) -> ValueError:
@@ -64,7 +63,7 @@ def integrate_adaptive(
     fa, fm, fb = f(a), f(m), f(b)
     if not (math.isfinite(fa) and math.isfinite(fm) and math.isfinite(fb)):
         raise _nonfinite((a, m, b), (fa, fm, fb))
-    whole = _simpson(fa, fm, fb, b - a)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
     total = 0.0
     err_total = 0.0
@@ -83,9 +82,9 @@ def integrate_adaptive(
         flm, frm = f(lm), f(rm)
         if not (math.isfinite(flm) and math.isfinite(frm)):
             raise _nonfinite((lm, rm), (flm, frm))
-        half = 0.5 * (b0 - a0)
-        left = _simpson(fa, flm, fm, half)
-        right = _simpson(fm, frm, fb, half)
+        sixth = 0.5 * (b0 - a0) / 6.0  # Simpson's width / 6 for each half
+        left = sixth * (fa + 4.0 * flm + fm)
+        right = sixth * (fm + 4.0 * frm + fb)
         delta = left + right - coarse
         if depth >= 2 and abs(delta) <= panel_tol:
             total += left + right + delta / 15.0
@@ -239,6 +238,22 @@ def _sparse_rows(op: np.ndarray) -> list[tuple[int, float]]:
     return rows
 
 
+def _kernel_coefficients(down_op: np.ndarray, up_op: np.ndarray) -> tuple[float, ...]:
+    """(a0, b0, a1, b1, a2, b2): the D and U coefficients of rows 0-2.
+
+    Raises ValueError naming the row unless row 0 takes D from column 0 and
+    U from column 3, rows 1 and 2 couple only to their own column, and row
+    3 is row 0 negated in both: the form `integrate_lindblad` relies on.
+    """
+    d_rows, u_rows = _sparse_rows(down_op), _sparse_rows(up_op)
+    for i, needed in enumerate(((0, 3), (1, 1), (2, 2))):
+        if (found := (d_rows[i][0], u_rows[i][0])) != needed:
+            raise ValueError(f"superoperator row {i} reads columns {found}, not {needed}")
+    if any(rows[3] != (rows[0][0], -rows[0][1]) for rows in (d_rows, u_rows)):
+        raise ValueError("superoperator row 3 is not row 0 negated; the scalar kernel needs it")
+    return tuple(c for pair in zip(d_rows[:3], u_rows[:3]) for _, c in pair)
+
+
 def integrate_lindblad(
     spec,
     rho0: np.ndarray,
@@ -250,36 +265,33 @@ def integrate_lindblad(
 
     The generator acts on vec(rho) as down * D + up * U, with the 4x4
     superoperators D and U built by applying the ladder-operator
-    dissipators of `lindblad_rhs` to the basis matrices.  Every row of D
-    and U has one nonzero entry, +-1 or +-2 (checked when the table is
-    built), so entry i of the right side is down*(c*v[j]) + up*(c'*v[j'])
-    for one (column, coefficient) pair of each.  RK4 runs on the four
-    entries as Python complex scalars, with the stage sums and the final
-    combination in the same order as `integrate_rk4`.
+    dissipators of `lindblad_rhs` to the basis matrices.  Each row of D and
+    U has one nonzero entry, +-1 or +-2; row 0 reads the populations
+    (columns 0 and 3), rows 1 and 2 only their own coherence, and row 3 is
+    row 0 negated (all checked when the table is built).  RK4 runs on the
+    four entries as Python complex scalars, with the stage sums and the
+    final combination in the same order as `integrate_rk4`.
 
-    Each state equals, bit for bit, RK4 on `lindblad_rhs`: c*v is exact,
-    as the one-nonzero-per-row matrix product is, and every other product
-    is a real float times a complex, which numpy and Python both round
-    component by component.  Only the sign of a zero may differ.  No
-    product of two non-real complex numbers occurs; those may be fused
-    differently by vectorised numpy loops.  The states are checked against
-    the density-matrix bounds (tolerance 1e-8) once, after the last step.
+    Each state equals, bit for bit, RK4 on `lindblad_rhs`; only the sign of
+    a zero may differ.  The coefficients are folded into the rates,
+    (c*down)*v for down*(c*v): scaling by +-1 or +-2 is exact short of
+    overflow, so both are one rounding of the same real product.  Row 3's
+    right side is minus row 0's, because round-to-nearest is symmetric, so
+    y3 takes row 0's increments with the sign flipped instead of a product
+    of its own.  Every product is a real float times a complex, which numpy
+    and Python both round component by component; no product of two
+    non-real complex numbers, which vectorised numpy loops may fuse
+    differently, occurs.  rho0 need not be Hermitian: rho10 keeps its own
+    recurrence.  The states are checked against the density-matrix bounds
+    (tolerance 1e-8) once, after the last step.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (2, 2):
         raise ValueError(f"rho0 must be 2x2, got shape {rho0.shape}")
     _check_step(t_end, dt)
     down, up = _rates(spec, constants)
-    (d0, a0), (d1, a1), (d2, a2), (d3, a3) = _sparse_rows(_superoperator(SIGMA_MINUS))
-    (u0, b0), (u1, b1), (u2, b2), (u3, b3) = _sparse_rows(_superoperator(SIGMA_PLUS))
-
-    def rhs(v):
-        return (
-            down * (a0 * v[d0]) + up * (b0 * v[u0]),
-            down * (a1 * v[d1]) + up * (b1 * v[u1]),
-            down * (a2 * v[d2]) + up * (b2 * v[u2]),
-            down * (a3 * v[d3]) + up * (b3 * v[u3]),
-        )
+    coefficients = _kernel_coefficients(_superoperator(SIGMA_MINUS), _superoperator(SIGMA_PLUS))
+    d0, u0, d1, u1, d2, u2 = (c * rate for c, rate in zip(coefficients, (down, up) * 3))
 
     entries = rho0.ravel().tolist()  # vec(rho) of every state, one after another
     y0, y1, y2, y3 = entries
@@ -289,15 +301,18 @@ def integrate_lindblad(
     while t < stop:
         h = min(dt, t_end - t)
         half = 0.5 * h
-        p0, p1, p2, p3 = rhs((y0, y1, y2, y3))
-        q0, q1, q2, q3 = rhs((y0 + half * p0, y1 + half * p1, y2 + half * p2, y3 + half * p3))
-        r0, r1, r2, r3 = rhs((y0 + half * q0, y1 + half * q1, y2 + half * q2, y3 + half * q3))
-        s0, s1, s2, s3 = rhs((y0 + h * r0, y1 + h * r1, y2 + h * r2, y3 + h * r3))
+        p0, p1, p2 = d0 * y0 + u0 * y3, d1 * y1 + u1 * y1, d2 * y2 + u2 * y2
+        v0, v1, v2, v3 = y0 + half * p0, y1 + half * p1, y2 + half * p2, y3 - half * p0
+        q0, q1, q2 = d0 * v0 + u0 * v3, d1 * v1 + u1 * v1, d2 * v2 + u2 * v2
+        v0, v1, v2, v3 = y0 + half * q0, y1 + half * q1, y2 + half * q2, y3 - half * q0
+        r0, r1, r2 = d0 * v0 + u0 * v3, d1 * v1 + u1 * v1, d2 * v2 + u2 * v2
+        v0, v1, v2, v3 = y0 + h * r0, y1 + h * r1, y2 + h * r2, y3 - h * r0
+        s0, s1, s2 = d0 * v0 + u0 * v3, d1 * v1 + u1 * v1, d2 * v2 + u2 * v2
         sixth = h / 6.0
-        y0 = y0 + sixth * (((p0 + 2.0 * q0) + 2.0 * r0) + s0)
+        k0 = sixth * (((p0 + 2.0 * q0) + 2.0 * r0) + s0)
+        y0, y3 = y0 + k0, y3 - k0
         y1 = y1 + sixth * (((p1 + 2.0 * q1) + 2.0 * r1) + s1)
         y2 = y2 + sixth * (((p2 + 2.0 * q2) + 2.0 * r2) + s2)
-        y3 = y3 + sixth * (((p3 + 2.0 * q3) + 2.0 * r3) + s3)
         t += h
         times.append(t)
         entries += (y0, y1, y2, y3)

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decolab.core import (
     CGS,
@@ -40,6 +41,7 @@ from decolab.cat_free import (
     tabulated_kinematics,
 )
 from decolab.oracle import integrate_adaptive
+from decolab.runner import _cat_integral
 
 # frozen reference values (40-digit arithmetic)
 EXP_M25_8 = 0.043936933623407417      # exp(-25/8), fringe suppression at d = 5 sigma
@@ -222,6 +224,33 @@ class TestCatField:
         for i, x in enumerate(xs):
             assert point.total(x) == pytest.approx(field.total[i], rel=1e-13)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        x=st.one_of(st.floats(-20.0, 20.0), st.floats(allow_nan=False, allow_infinity=False)),
+    )
+    def test_pointwise_total_is_the_sum_of_its_terms_bit_for_bit(self, seed, x):
+        rng = np.random.default_rng(seed)
+        spec = CatSpec(
+            mass=rng.uniform(0.5, 2.0), sigma=rng.uniform(0.3, 1.5), d=rng.uniform(0.0, 10.0)
+        )
+        if rng.random() < 0.5:
+            kin = free_kinematics(spec.mass)
+        else:
+            kin = ohmic_high_t_kinematics(spec.mass, rng.uniform(0.5, 4.0), 0.01)
+        point = cat_pointwise(spec, kin, rng.uniform(0.0, 1.5))
+
+        def outcome(f):
+            # the hex of the value, or the error both routes raise (cos of inf)
+            try:
+                return f(x).hex()
+            except ValueError as exc:
+                return repr(exc)
+
+        assert outcome(point.total) == outcome(
+            lambda x: point.p1(x) + point.p2(x) + 2.0 * point.interference(x)
+        )
+
     def test_default_grid_covers_tails(self):
         spec = CatSpec(mass=1.0, sigma=1.0, d=6.0)
         kin = free_kinematics(1.0)
@@ -240,24 +269,22 @@ class TestCatField:
 
 
 class TestQuadratureNormalization:
-    def _norm(self, spec, kin, t, tol=1e-9):
+    def _norm(self, spec, kin, t):
         point = cat_pointwise(spec, kin, t)
-        w = math.sqrt(point.w2)
-        half = spec.d / 2 + 10.0 * w
-        return integrate_adaptive(point.total, -half, half, tol=tol)
+        return _cat_integral(spec, point, point.total)
 
     def test_unit_mass_at_rest(self):
         spec = CatSpec(mass=1.0, sigma=1.0, d=5.0)
-        res = self._norm(spec, free_kinematics(1.0), 0.0)
-        assert res.value == pytest.approx(1.0, abs=1e-8)
+        value = self._norm(spec, free_kinematics(1.0), 0.0)
+        assert value == pytest.approx(1.0, abs=1e-8)
 
     def test_spread_interfering_state(self):
         spec = CatSpec(mass=0.7, sigma=0.8, d=3.5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeValidityWarning)
             kin = ohmic_high_t_kinematics(mass=0.7, temperature=2.0, gamma=0.03)
-        res = self._norm(spec, kin, 1.1)
-        assert res.value == pytest.approx(1.0, abs=1e-8)
+        value = self._norm(spec, kin, 1.1)
+        assert value == pytest.approx(1.0, abs=1e-8)
 
     def test_fringe_weight_is_conserved(self):
         # the interference term integrates to 2 N^2 exp(-d^2/8 sigma^2) at every time
@@ -267,27 +294,17 @@ class TestQuadratureNormalization:
         expected = 2.0 * n * n * math.exp(-spec.d ** 2 / (8.0 * spec.sigma ** 2))
         for t in (0.0, 0.5, 1.7):
             point = cat_pointwise(spec, kin, t)
-            w = math.sqrt(point.w2)
-            half = spec.d / 2 + 10.0 * w
-            res = integrate_adaptive(
-                lambda x: 2.0 * point.interference(x), -half, half, tol=1e-9
-            )
-            assert res.value == pytest.approx(expected, abs=1e-8)
+            value = _cat_integral(spec, point, lambda x: 2.0 * point.interference(x))
+            assert value == pytest.approx(expected, abs=1e-8)
 
     def test_fringe_to_direct_ratio_at_five_sigma(self):
         spec = CatSpec(mass=1.0, sigma=1.0, d=5.0)
         kin = free_kinematics(1.0)
         t = 0.4
         point = cat_pointwise(spec, kin, t)
-        w = math.sqrt(point.w2)
-        half = spec.d / 2 + 10.0 * w
-        direct = integrate_adaptive(
-            lambda x: point.p1(x) + point.p2(x), -half, half, tol=1e-10
-        )
-        fringe = integrate_adaptive(
-            lambda x: 2.0 * point.interference(x), -half, half, tol=1e-10
-        )
-        assert fringe.value / direct.value == pytest.approx(EXP_M25_8, rel=1e-6)
+        direct = _cat_integral(spec, point, lambda x: point.p1(x) + point.p2(x))
+        fringe = _cat_integral(spec, point, lambda x: 2.0 * point.interference(x))
+        assert fringe / direct == pytest.approx(EXP_M25_8, rel=1e-6)
 
 
 class TestAttenuationExact:

@@ -5,6 +5,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decolab import runner
 from decolab.cat_free import cat_pointwise, free_kinematics
@@ -12,6 +13,7 @@ from decolab.config import load_config
 from decolab.core import CatSpec, ConvergenceError, StateInvariantError
 from decolab.oracle import (
     Trajectory,
+    _kernel_coefficients,
     _sparse_rows,
     _superoperator,
     integrate_adaptive,
@@ -22,6 +24,7 @@ from decolab.oracle import (
 )
 from decolab.spin_bloch import (
     SIGMA_MINUS,
+    SIGMA_PLUS,
     SpinBathSpec,
     bloch_evolve,
     bloch_rhs,
@@ -297,6 +300,71 @@ class TestLindbladIntegration:
         traj = assert_matches_raw_generator(SPIN, rho0, 3.0 * t1, 0.08 * t1)
         steps = np.diff(traj.times)
         assert steps[-1] == pytest.approx(0.5 * steps[0], rel=1e-9)  # 37.5 steps
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        temperature=st.one_of(st.just(0.0), st.floats(0.05, 30.0)),
+        direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+        radius=st.floats(0.0, 0.999),
+        per_t1=st.integers(1, 8),
+        full_steps=st.integers(1, 60),
+        remainder=st.floats(0.05, 0.95),
+    )
+    def test_bit_identical_to_raw_generator_property(
+        self, temperature, direction, radius, per_t1, full_steps, remainder
+    ):
+        # any bath, any start inside the Bloch ball, a short final step; steps
+        # stay coarse (t1/8 or longer) because at fine steps RK4's combination
+        # absorbs most one-ulp differences in a stage, which would hide a
+        # kernel that rounds differently
+        spec = SpinBathSpec(gamma=1.0, omega=1.0, temperature=temperature)
+        t1, _ = relaxation_times(spec)
+        norm = float(np.linalg.norm(direction))
+        p = np.array(direction) * (radius / norm) if norm > 1e-3 else np.zeros(3)
+        dt = t1 / per_t1
+        traj = assert_matches_raw_generator(
+            spec, density_from_polarization(p), (full_steps + remainder) * dt, dt
+        )
+        assert np.diff(traj.times)[-1] < 0.96 * dt
+
+    def test_bit_identical_through_subnormal_populations(self):
+        # at T = 0 the upper population decays into the subnormal range
+        spec = SpinBathSpec(gamma=1.0, omega=1.0, temperature=0.0)
+        t1, _ = relaxation_times(spec)
+        rho0 = density_from_polarization([0.3, -0.2, 0.9])
+        traj = assert_matches_raw_generator(spec, rho0, 760.0 * t1, 0.5 * t1)
+        upper = np.abs(traj.states[:, 0, 0].real)
+        assert np.count_nonzero((upper > 0.0) & (upper < np.finfo(float).tiny)) > 50
+
+    @pytest.mark.parametrize(
+        "op_index, row, entries",
+        [
+            (0, 3, [-2.0, 0.0, 0.0, 0.0]),  # row 3 equal to row 0, not negated
+            (1, 3, [0.0, 0.0, 0.0, -1.0]),  # row 3 coefficient not -b0
+            (0, 3, [0.0, 0.0, 0.0, 2.0]),   # row 3 on another column than row 0
+            (0, 1, [0.0, 0.0, -1.0, 0.0]),  # rho01 driven by rho10
+            (1, 2, [0.0, -1.0, 0.0, 0.0]),  # rho10 driven by rho01
+            (0, 0, [0.0, 0.0, 0.0, -2.0]),  # population row on the wrong column
+        ],
+        ids=["row3-not-negated", "row3-coefficient", "row3-column",
+             "row1-coupled", "row2-coupled", "row0-column"],
+    )
+    def test_kernel_needs_negated_populations_and_uncoupled_coherences(
+        self, op_index, row, entries
+    ):
+        ops = [_superoperator(SIGMA_MINUS), _superoperator(SIGMA_PLUS)]
+        assert _kernel_coefficients(*ops) == (-2.0, 2.0, -1.0, -1.0, -1.0, -1.0)
+        ops[op_index][row] = entries
+        with pytest.raises(ValueError, match=f"superoperator row {row}"):
+            _kernel_coefficients(*ops)
+
+    def test_coherences_keep_their_own_recurrences(self):
+        # rho10 is not rebuilt as conj(rho01): a start off Hermitian by far
+        # less than the check's tolerance still matches the raw generator
+        rho0 = density_from_polarization([0.2, 0.5, -0.1])
+        rho0[1, 0] += complex(3e-12, -1e-12)
+        traj = assert_matches_raw_generator(SPIN, rho0, 2.0, 0.05)
+        assert not np.array_equal(traj.states[:, 1, 0], traj.states[:, 0, 1].conj())
 
     def test_nan_in_rho0_fails_the_check(self):
         rho0 = density_from_polarization([0.2, 0.0, 0.1])
