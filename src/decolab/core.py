@@ -5,6 +5,7 @@ All formulas in this package are written for either natural units
 selects between the two; every function that needs hbar or k_B takes one.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -167,15 +168,29 @@ def classicality_ratio(temperature: float, gamma: float, constants: PhysicalCons
     return constants.k_boltzmann * temperature / (constants.hbar * gamma)
 
 
+FLOAT_MAP_CHUNK = 8192
+
+
 def float_map(fn, x):
     """fn applied to each element of x as a Python float, so that an array
     rounds exactly as a loop of scalar calls does (math.exp, math.cos and
     float ** round differently from their numpy counterparts on some
-    inputs).  A float in gives a float out; an array keeps its shape."""
+    inputs).  A float in gives a float out; an array keeps its shape.
+
+    The elements go through fn in chunks of FLOAT_MAP_CHUNK (8,192) values,
+    so only one chunk at a time exists as Python floats (about 32 bytes per
+    value, 0.26 MB per chunk) beside the 8-byte-per-value result; the whole
+    array as a list would cost four times the result.  A non-contiguous x
+    is first copied, 8 bytes per value.  An exception from fn propagates
+    unchanged, raised at the same element as by a plain loop.
+    """
     if np.ndim(x) == 0:
         return fn(float(x))
     x = np.asarray(x, dtype=float)
-    return np.fromiter(map(fn, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
+    flat = x.ravel()
+    chunks = (flat[i:i + FLOAT_MAP_CHUNK].tolist() for i in range(0, flat.size, FLOAT_MAP_CHUNK))
+    values = itertools.chain.from_iterable(map(fn, chunk) for chunk in chunks)
+    return np.fromiter(values, float, count=flat.size).reshape(x.shape)
 
 
 def warn_regime(message: str) -> None:

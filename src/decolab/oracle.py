@@ -15,6 +15,7 @@ power-of-two scaling) and takes the last population row as the first one
 negated (round-to-nearest is symmetric); see `integrate_lindblad`.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -254,6 +255,13 @@ def _kernel_coefficients(down_op: np.ndarray, up_op: np.ndarray) -> tuple[float,
     return tuple(c for pair in zip(d_rows[:3], u_rows[:3]) for _, c in pair)
 
 
+@functools.cache
+def _lindblad_coefficients() -> tuple[float, ...]:
+    """`_kernel_coefficients` of the SIGMA_MINUS and SIGMA_PLUS tables, built
+    and checked on the first call; they depend on no input."""
+    return _kernel_coefficients(_superoperator(SIGMA_MINUS), _superoperator(SIGMA_PLUS))
+
+
 def integrate_lindblad(
     spec,
     rho0: np.ndarray,
@@ -268,9 +276,9 @@ def integrate_lindblad(
     dissipators of `lindblad_rhs` to the basis matrices.  Each row of D and
     U has one nonzero entry, +-1 or +-2; row 0 reads the populations
     (columns 0 and 3), rows 1 and 2 only their own coherence, and row 3 is
-    row 0 negated (all checked when the table is built).  RK4 runs on the
-    four entries as Python complex scalars, with the stage sums and the
-    final combination in the same order as `integrate_rk4`.
+    row 0 negated (all checked when the table is built, once per process).
+    RK4 runs on the four entries as Python complex scalars, with the stage
+    sums and the final combination in the same order as `integrate_rk4`.
 
     Each state equals, bit for bit, RK4 on `lindblad_rhs`; only the sign of
     a zero may differ.  The coefficients are folded into the rates,
@@ -290,7 +298,7 @@ def integrate_lindblad(
         raise ValueError(f"rho0 must be 2x2, got shape {rho0.shape}")
     _check_step(t_end, dt)
     down, up = _rates(spec, constants)
-    coefficients = _kernel_coefficients(_superoperator(SIGMA_MINUS), _superoperator(SIGMA_PLUS))
+    coefficients = _lindblad_coefficients()
     d0, u0, d1, u1, d2, u2 = (c * rate for c, rate in zip(coefficients, (down, up) * 3))
 
     entries = rho0.ravel().tolist()  # vec(rho) of every state, one after another

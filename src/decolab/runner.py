@@ -133,17 +133,7 @@ def _run_free_cat(config: RunConfig):
             "coordinate-space density; snapshots skipped"
         )
     elif kin is not None:
-        for i, t in enumerate(snap_times):
-            w2 = cat_free.packet_variance(kin, params.cat.sigma, float(t))
-            field = cat_free.cat_probability(
-                params.cat, kin, float(t), _snapshot_grid(params, w2)
-            )
-            columns = ["x", "P_total", "P1", "P2", "P_interference_term"]
-            rows = np.column_stack([field.x, field.total, field.p1, field.p2, field.interference])
-            files.append(_write_data(
-                config, f"catfield_{i:02d}", "cat-field", columns, rows,
-                regime=params.regime, time=format_float(t), w2=format_float(field.w2),
-            ))
+        files.extend(_write_snapshot(config, kin, i, float(t)) for i, t in enumerate(snap_times))
 
     checks = None
     if config.verify:
@@ -151,6 +141,21 @@ def _run_free_cat(config: RunConfig):
         if kin is not None and params.snapshots:
             checks.extend(field_checks(params.cat, kin, snap_times))
     return files, checks
+
+
+def _write_snapshot(config: RunConfig, kin, i: int, t: float) -> str:
+    """Evaluate and write snapshot i, the cat density at time t; returns the
+    file name.  Its field and table are freed on return, before the next
+    snapshot is evaluated."""
+    params = config.params
+    w2 = cat_free.packet_variance(kin, params.cat.sigma, t)
+    field = cat_free.cat_probability(params.cat, kin, t, _snapshot_grid(params, w2))
+    columns = ["x", "P_total", "P1", "P2", "P_interference_term"]
+    rows = np.column_stack([field.x, field.total, field.p1, field.p2, field.interference])
+    return _write_data(
+        config, f"catfield_{i:02d}", "cat-field", columns, rows,
+        regime=params.regime, time=format_float(t), w2=format_float(field.w2),
+    )
 
 
 def _bounds_check(log_curve: np.ndarray) -> Check:

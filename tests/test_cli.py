@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -544,6 +545,127 @@ class TestPinnedCurves:
         argv = [command, cfg] + (["--out", str(tmp_path)] if command == "run" else [])
         assert main(argv) == 0
         assert hashlib.sha256((tmp_path / written).read_bytes()).hexdigest() == digest
+
+
+# runs of 20,000 samples (and two 20,000-point snapshots), so every per-sample
+# law crosses float_map's chunk seams; pinned as the unchunked map wrote them
+MULTI_CHUNK_CFGS = {
+    "free": """
+    [run]
+    mode = free-cat
+
+    [time]
+    end = 2.0
+    samples = 20000
+
+    [free-cat]
+    mass = 1.0
+    sigma = 1.0
+    d = 3.0
+    regime = ohmic-high-t
+    temperature = 2.0
+    gamma = 0.1
+    snapshots = 2
+    x_samples = 20000
+""",
+    "osc": """
+    [run]
+    mode = oscillator-cat
+
+    [time]
+    end = 10.0
+    samples = 20000
+
+    [oscillator-cat]
+    mass = 1.0
+    omega = 2.0
+    d = 1.5
+    temperature = 0.7
+""",
+    "spin": """
+    [run]
+    mode = spin
+
+    [time]
+    end = 12.0
+    samples = 20000
+
+    [spin]
+    gamma = 1.0
+    omega = 1.0
+    hbar_omega_over_kt = 2.1972245773362196
+    p_x = 0.4
+    p_z = 0.2
+""",
+}
+
+MULTI_CHUNK_DIGESTS = {
+    ("free", False): {
+        "attenuation.csv": "7777f9fae764fbca7c71061fd962cc1abbddf74012435694489dbf232c63d982",
+        "catfield_00.csv": "7857f78900c4673ce72588b9b92c29dad19466777e1b72b04319d84fd65047f0",
+        "catfield_01.csv": "86a16b0cd2220845ed0cc3a666b1ac6bf711317211345914cd8682f2c981c08f",
+        "report.txt": "c35658bc9307290b5f3a946d8734ebccf75a6571be5a0d51a2cae83334e9d986",
+    },
+    ("free", True): {
+        "attenuation.csv": "7777f9fae764fbca7c71061fd962cc1abbddf74012435694489dbf232c63d982",
+        "catfield_00.csv": "7857f78900c4673ce72588b9b92c29dad19466777e1b72b04319d84fd65047f0",
+        "catfield_01.csv": "86a16b0cd2220845ed0cc3a666b1ac6bf711317211345914cd8682f2c981c08f",
+        "report.txt": "4aa5b347b353e376bd04baf11e57a2ee78f07d2735c7e2c96b894cb6f54f64f1",
+    },
+    ("osc", False): {
+        "attenuation.csv": "ccc711c3faae8fdae85467369d3c38a9b834e1b5f7bf86d13b3dea1429b019fe",
+        "report.txt": "3a1348ce2c8e109b91118f3949eac635241768b011f66de0760b1e5e02257b49",
+        "revivals.csv": "1cc1fabe5e3c231909510400893367494bc689e90682626ead76dea40bacf8f6",
+    },
+    ("osc", True): {
+        "attenuation.csv": "ccc711c3faae8fdae85467369d3c38a9b834e1b5f7bf86d13b3dea1429b019fe",
+        "report.txt": "29f573fc9941c4a90cb09800fa9f148de4ee325b3b3a549df42f81a7177f68cd",
+        "revivals.csv": "1cc1fabe5e3c231909510400893367494bc689e90682626ead76dea40bacf8f6",
+    },
+    ("spin", False): {
+        "bloch_trajectory.csv": "a7771401037173b20c9e7f626f7240262fd9f4167521c8cbad040e3d8f18525d",
+        "equilibrium.txt": "20db115ff6a3d670075a0c70e104c2b6d1a4d72c5cfea542940beb83cf33f671",
+        "report.txt": "6ba50952042822a7d23577ae8e4942f9f52901adf1b3b11f520e70d4183d5c82",
+    },
+    ("spin", True): {
+        "bloch_trajectory.csv": "a7771401037173b20c9e7f626f7240262fd9f4167521c8cbad040e3d8f18525d",
+        "equilibrium.txt": "20db115ff6a3d670075a0c70e104c2b6d1a4d72c5cfea542940beb83cf33f671",
+        "report.txt": "4104e06d32b1b7762753ef217e94074b8083b927e8c4996471a9ef37a713f8c4",
+    },
+}
+
+
+class TestMultiChunkRuns:
+    @pytest.mark.parametrize("name,verify", sorted(MULTI_CHUNK_DIGESTS))
+    def test_outputs_match_pinned_digests(self, tmp_path, name, verify):
+        cfg = write_cfg(tmp_path, MULTI_CHUNK_CFGS[name])
+        out = tmp_path / "out"
+        argv = ["run", cfg, "--out", str(out)] + (["--verify"] if verify else [])
+        assert main(argv) == 0
+        written = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())
+        }
+        assert written == MULTI_CHUNK_DIGESTS[name, verify]
+
+    def test_snapshots_do_not_accumulate(self, tmp_path):
+        # each snapshot's field and table are freed before the next one is
+        # evaluated, so three snapshots peak as high as one
+        def traced_peak(snapshots):
+            text = FREE_CFG.replace("snapshots = 3", f"snapshots = {snapshots}")
+            text = text.replace("x_samples = 512", "x_samples = 200000")
+            cfg = write_cfg(tmp_path, text, name=f"s{snapshots}.cfg")
+            out = str(tmp_path / f"out{snapshots}")
+            tracemalloc.start()
+            try:
+                assert main(["run", cfg, "--out", out]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(1)  # warm-up: lazy imports and caches of a first run
+        one, three = traced_peak(1), traced_peak(3)
+        assert three <= 1.1 * one, (three, one)
 
 
 class TestEntryPoint:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decolab import runner
+from decolab import oracle, runner
 from decolab.cat_free import cat_pointwise, free_kinematics
 from decolab.config import load_config
 from decolab.core import CatSpec, ConvergenceError, StateInvariantError
@@ -357,6 +357,21 @@ class TestLindbladIntegration:
         ops[op_index][row] = entries
         with pytest.raises(ValueError, match=f"superoperator row {row}"):
             _kernel_coefficients(*ops)
+
+    def test_second_call_builds_no_table(self, monkeypatch):
+        # D and U depend on no input: built and checked once, not per call
+        rho0 = density_from_polarization([0.2, 0.1, 0.3])
+        first = integrate_lindblad(SPIN, rho0, 1.0, 0.1)
+        builds = []
+
+        def counting_superoperator(jump):
+            builds.append(jump)
+            return _superoperator(jump)
+
+        monkeypatch.setattr(oracle, "_superoperator", counting_superoperator)
+        second = integrate_lindblad(SPIN, rho0, 1.0, 0.1)
+        assert builds == []
+        assert second.states.tobytes() == first.states.tobytes()
 
     def test_coherences_keep_their_own_recurrences(self):
         # rho10 is not rebuilt as conj(rho01): a start off Hermitian by far
