@@ -17,11 +17,13 @@ ratio of the interference envelope to the geometric mean of the two direct
 terms, and the two definitions agree identically.
 
 The attenuation laws take t as a float or as an array of times: a float
-gives a float, and an array gives the array a loop of scalar calls would,
-bit for bit, with the same warnings in the same order.  Sums, products and
-quotients run in numpy in the scalar code's order (elementwise ufuncs round
-as Python floats do); exp, log, cos and powers run per sample through
-`core.float_map`.
+gives a float, and an array gives, bit for bit, the values a loop of scalar
+calls would.  An array is checked once per call: a t that breaks a law's
+bounds raises the scalar call's error for the first such t, before any
+warning; each regime warning is then issued once, naming the first t it
+concerns and how many it covers.  Sums, products and quotients run in numpy
+in the scalar code's order (elementwise ufuncs round as Python floats do);
+exp, log, cos and powers run per sample through `core.float_map`.
 """
 
 import math
@@ -36,6 +38,7 @@ from .core import (
     PhysicalConstants,
     RegimeBreakdownError,
     classicality_ratio,
+    fail_closed,
     float_map,
     thermal_de_broglie,
     warn_regime,
@@ -81,14 +84,21 @@ class ReservoirKinematics:
             raise ValueError("kinematics must satisfy c = s = 0 at the start of validity")
 
     def check_time(self, t: float | np.ndarray) -> None:
-        """Warn once for each t outside the validity window, in order."""
+        """Warn once if any t lies outside the validity window (see _warn_times)."""
         lo, hi = self.validity
-        times = np.atleast_1d(np.asarray(t, dtype=float))
-        for value in times[~((lo <= times) & (times < hi))].tolist():
-            warn_regime(
-                f"t = {value:g} lies outside the validity window [{lo:g}, {hi:g}) "
-                f"of the {self.label} kinematics"
-            )
+        times = np.ravel(np.asarray(t, dtype=float))
+        _warn_times(
+            times[~((lo <= times) & (times < hi))],
+            f"lies outside the validity window [{lo:g}, {hi:g}) of the {self.label} kinematics",
+        )
+
+
+def _warn_times(times: np.ndarray, text: str) -> None:
+    """One regime warning "t = <first of times> <text>", counting the times
+    when there are several; none for an empty array."""
+    if times.size:
+        count = f" (first of {times.size} such times)" if times.size > 1 else ""
+        warn_regime(f"t = {float(times[0]):g} {text}{count}")
 
 
 def _constant_like(t, value: float):
@@ -182,38 +192,33 @@ def tabulated_kinematics(
     )
 
 
-def _kinematics_at(kin: ReservoirKinematics, sigma: float, t, check_s: bool):
+def _kinematics_at(kin: ReservoirKinematics, sigma: float, t):
     """c(t), s(t) and w^2(t) for a float or an array of t.
 
-    Warns for each t outside the validity window, in order, as a loop of
-    scalar evaluations would: that loop stops at the first t where w^2 is
-    not positive (or, with check_s, s is negative), after warning for it,
-    and raises RegimeBreakdownError naming it.  Cannot fail for the shipped
+    Raises RegimeBreakdownError for the first t where w^2 is not positive
+    (NaN included) or s is negative, before any warning; then warns once
+    if any t lies outside the validity window.  Cannot fail for the shipped
     kinematics; guards user-supplied ones.
     """
     c = kin.c(t)
     s = kin.s(t)
     w2 = sigma * sigma + (c * c) / (4.0 * sigma * sigma) + s
-    broken = ~(np.asarray(w2) > 0.0)
-    if check_s:
-        broken = broken | (np.asarray(s) < 0)
-    broken = np.atleast_1d(broken)
-    if not broken.any():
-        kin.check_time(t)
-        return c, s, w2
-    i = int(np.argmax(broken))
-    t_i, s_i, w2_i = (float(np.atleast_1d(v)[i]) for v in (t, s, w2))
-    kin.check_time(np.atleast_1d(t)[: i + 1])
-    if not w2_i > 0.0:
-        raise RegimeBreakdownError(f"packet variance w^2 = {w2_i:g} is not positive at t = {t_i:g}")
-    raise RegimeBreakdownError(f"mean-square displacement s = {s_i:g} is negative at t = {t_i:g}")
+    broken = np.ravel(~(np.asarray(w2) > 0.0) | (np.asarray(s) < 0))
+    if broken.any():
+        i = int(np.argmax(broken))
+        t_i, s_i, w2_i = (float(np.ravel(v)[i]) for v in (t, s, w2))
+        if not w2_i > 0.0:
+            raise RegimeBreakdownError(f"packet variance w^2 = {w2_i:g} is not positive at t = {t_i:g}")
+        raise RegimeBreakdownError(f"mean-square displacement s = {s_i:g} is negative at t = {t_i:g}")
+    kin.check_time(t)
+    return c, s, w2
 
 
 def packet_variance(kin: ReservoirKinematics, sigma: float, t: float | np.ndarray):
     """Spread packet variance w^2(t) = sigma^2 + c(t)^2 / 4 sigma^2 + s(t)."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    return _kinematics_at(kin, sigma, t, check_s=False)[2]
+    return _kinematics_at(kin, sigma, t)[2]
 
 
 def single_packet_prob(w2: float, x):
@@ -250,7 +255,7 @@ class _CatCoefficients:
 def _log_attenuation(spec: CatSpec, kin: ReservoirKinematics, t):
     # c(t), w^2(t) and log a(t) = -s d^2 / 8 sigma^2 w^2
     sigma2 = spec.sigma * spec.sigma
-    c, s, w2 = _kinematics_at(kin, spec.sigma, t, check_s=True)
+    c, s, w2 = _kinematics_at(kin, spec.sigma, t)
     d2 = spec.d * spec.d
     return c, w2, -s * d2 / (8.0 * sigma2 * w2)
 
@@ -375,6 +380,7 @@ def cat_pointwise(spec: CatSpec, kin: ReservoirKinematics, t: float) -> CatPoint
     return CatPointwise(w2=w2, total=total, p1=p1, p2=p2, interference=interference)
 
 
+@fail_closed
 def log_attenuation_exact(spec: CatSpec, kin: ReservoirKinematics, t: float | np.ndarray):
     """log a(t) = -s(t) d^2 / 8 sigma^2 w^2(t), finite where a(t) underflows to 0."""
     return _log_attenuation(spec, kin, t)[2]
@@ -396,6 +402,12 @@ class FieldRatio(NamedTuple):
     max_deviation: float
     n_points: int
 
+    @classmethod
+    def of(cls, ratio: np.ndarray) -> "FieldRatio":
+        """Mean of a pointwise ratio over its grid, and its largest deviation."""
+        value = float(np.mean(ratio))
+        return cls(value, float(np.max(np.abs(ratio - value))), int(ratio.size))
+
 
 def resolvable_overlap(field: CatField) -> np.ndarray:
     """Grid points where p1 * p2 is resolvable, far above the underflow at
@@ -414,13 +426,7 @@ def attenuation_from_field(field: CatField) -> FieldRatio:
     usable = resolvable_overlap(field)
     if not np.any(usable):
         raise ValueError("no grid points with resolvable packet overlap")
-    ratio = field.envelope[usable] / np.sqrt(field.p1[usable] * field.p2[usable])
-    value = float(np.mean(ratio))
-    return FieldRatio(
-        value=value,
-        max_deviation=float(np.max(np.abs(ratio - value))),
-        n_points=int(np.count_nonzero(usable)),
-    )
+    return FieldRatio.of(field.envelope[usable] / np.sqrt(field.p1[usable] * field.p2[usable]))
 
 
 def log_attenuation_from_terms(
@@ -442,13 +448,7 @@ def log_attenuation_from_terms(
     log_p1 = log_norm - (x - half_d) ** 2 * inv2w2
     log_p2 = log_norm - (x + half_d) ** 2 * inv2w2
     log_envelope = log_norm + (log_a - spec.d * spec.d / (8.0 * w2)) - x * x * inv2w2
-    ratio = log_envelope - 0.5 * (log_p1 + log_p2)
-    value = float(np.mean(ratio))
-    return FieldRatio(
-        value=value,
-        max_deviation=float(np.max(np.abs(ratio - value))),
-        n_points=int(x.size),
-    )
+    return FieldRatio.of(log_envelope - 0.5 * (log_p1 + log_p2))
 
 
 def high_t_decoherence_time(
@@ -483,23 +483,22 @@ def _warn_separation_scales(
         )
 
 
-def _first_out_of_range(t: np.ndarray, horizon: float | None) -> int | None:
-    """Index of the first t < 0 or t >= horizon (None: no horizon), where a
-    loop of scalar calls raises; None if there is no such t."""
-    failed = t < 0
-    if horizon is not None:
-        failed |= t >= horizon
-    return int(np.argmax(failed)) if failed.any() else None
+def _check_horizon(t, horizon: float, expansion: str) -> np.ndarray:
+    """t as a flat float array, once no t is negative or reaches the horizon
+    m/zeta; raises, as a scalar call would, for the first that does."""
+    flat = np.ravel(np.asarray(t, dtype=float))
+    failed = (flat < 0) | (flat >= horizon)
+    if failed.any():
+        bad = float(flat[np.argmax(failed)])
+        if bad < 0:
+            raise ValueError(f"t must be non-negative, got {bad}")
+        raise RegimeBreakdownError(
+            f"t = {bad:g} reaches m/zeta = {horizon:g}; the {expansion} expansion has broken down"
+        )
+    return flat
 
 
-def _out_of_range_error(t: float, horizon: float, expansion: str) -> ValueError:
-    if t < 0:
-        return ValueError(f"t must be non-negative, got {t}")
-    return RegimeBreakdownError(
-        f"t = {t:g} reaches m/zeta = {horizon:g}; the {expansion} expansion has broken down"
-    )
-
-
+@fail_closed
 def attenuation_high_t(
     spec: CatSpec,
     temperature: float,
@@ -532,6 +531,7 @@ def low_t_time_constant(
     )
 
 
+@fail_closed
 def log_attenuation_low_t(
     spec: CatSpec,
     zeta: float,
@@ -542,17 +542,12 @@ def log_attenuation_low_t(
     where a(t) underflows to 0; same warnings and errors."""
     if zeta <= 0:
         raise ValueError(f"zeta must be positive, got {zeta}")
-    times = np.asarray(t, dtype=float)
-    flat = np.atleast_1d(times)
-    horizon = spec.mass / zeta
-    stop = _first_out_of_range(flat, horizon)
-    if stop != 0 and flat.size:
+    if _check_horizon(t, spec.mass / zeta, "low-temperature").size:
         warn_regime(
             "the low-temperature form is derived for t above a short-time "
             "cutoff that is not specified quantitatively; treat small-t values with care"
         )
-    if stop is not None:
-        raise _out_of_range_error(float(flat[stop]), horizon, "low-temperature")
+    times = np.asarray(t, dtype=float)
     out = np.zeros(times.shape)  # t = 0 stays 0: t^2 log t -> 0
     moving = times != 0.0
     if moving.any():
@@ -576,8 +571,8 @@ def attenuation_low_t(
     Hard-limited to t < m/zeta, where the bracket is negative and a < 1.
     The derivation also assumes t above a short-time cutoff that is not
     pinned down quantitatively, so small-t values carry a warning (once
-    per call).  An array stops at its first t < 0 or t >= m/zeta and
-    raises for it.
+    per call).  An array with any t < 0 or t >= m/zeta raises for the
+    first such t, before the warning.
     """
     return float_map(math.exp, log_attenuation_low_t(spec, zeta, t, constants))
 
@@ -595,6 +590,7 @@ def decoupled_decoherence_time(
     return 3.0 * constants.hbar ** 2 / (zeta * constants.k_boltzmann * temperature * spec.d ** 2)
 
 
+@fail_closed
 def log_attenuation_decoupled_high_t(
     spec: CatSpec,
     zeta: float,
@@ -609,17 +605,12 @@ def log_attenuation_decoupled_high_t(
         raise ValueError(f"zeta must be non-negative, got {zeta}")
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    flat = np.atleast_1d(np.asarray(t, dtype=float))
-    horizon = spec.mass / zeta if zeta else None
-    stop = _first_out_of_range(flat, horizon)
-    if horizon is not None:
-        for value in flat[:stop][flat[:stop] > 0.1 * horizon].tolist():
-            warn_regime(
-                f"t = {value:g} is a sizable fraction of m/zeta = {horizon:g}; "
-                "the weak-damping result is approximate here"
-            )
-    if stop is not None:
-        raise _out_of_range_error(float(flat[stop]), horizon, "weak-damping")
+    horizon = spec.mass / zeta if zeta else math.inf
+    flat = _check_horizon(t, horizon, "weak-damping")
+    _warn_times(
+        flat[flat > 0.1 * horizon],
+        f"is a sizable fraction of m/zeta = {horizon:g}; the weak-damping result is approximate here",
+    )
     if zeta == 0.0:
         return _constant_like(t, 0.0)
     kT = constants.k_boltzmann * temperature
@@ -643,8 +634,9 @@ def attenuation_decoupled_high_t(
 
     Cubic rather than quadratic at early times, and switching off the
     coupling (zeta = 0) removes the decay entirely.  Valid for t below
-    m/zeta (hard error there; warns once for each t above a tenth of it).
-    An array stops at its first t < 0 or t >= m/zeta and raises for it.
+    m/zeta (hard error there; above a tenth of it, warns once per call,
+    naming the first such t and how many there are).  An array with any
+    t < 0 or t >= m/zeta raises for the first such t, before any warning.
     """
     return float_map(
         math.exp, log_attenuation_decoupled_high_t(spec, zeta, temperature, t, constants)

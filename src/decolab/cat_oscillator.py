@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NATURAL, CatSpec, PhysicalConstants, float_map, require_finite
+from .core import NATURAL, CatSpec, PhysicalConstants, fail_closed, float_map, require_finite
 from .cat_free import attenuation_high_t, high_t_decoherence_time
 
 
@@ -61,6 +61,7 @@ def _inverse_sinh(x: float) -> float:
     return 2.0 * math.exp(-x) / (-math.expm1(-2.0 * x))
 
 
+@fail_closed
 def attenuation_oscillator(
     spec: OscillatorSpec, t: float | np.ndarray, constants: PhysicalConstants = NATURAL
 ):

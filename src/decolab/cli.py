@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .config import load_config
-from .core import ConfigError, RegimeBreakdownError
+from .core import ConfigError
 from .output import FORMATS
 from .runner import compare_regimes, recorded_warnings, run
 from .selftest import run_selftest
@@ -92,7 +92,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (RegimeBreakdownError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # RegimeBreakdownError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -314,7 +314,12 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"mode is {mode!r} but the [{mode}] section is missing")
 
     sec = _Section(mode, cp[mode])
-    params = MODES[mode].parse(sec, constants)
+    try:
+        params = MODES[mode].parse(sec, constants)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a spec record refused a value: name its section
+        raise ConfigError(f"[{mode}] {exc}") from None
     sec.reject_leftovers()
 
     return RunConfig(

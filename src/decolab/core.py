@@ -5,6 +5,7 @@ All formulas in this package are written for either natural units
 selects between the two; every function that needs hbar or k_B takes one.
 """
 
+import functools
 import itertools
 import math
 import warnings
@@ -138,6 +139,24 @@ class ReservoirSpec:
         return self.gamma * mass
 
 
+def fail_closed(law):
+    """Wrap law so that it raises RegimeBreakdownError, naming the law, where
+    its float arithmetic leaves the representable range: an OverflowError or
+    ZeroDivisionError from Python floats, or a NaN or infinite result."""
+
+    @functools.wraps(law)
+    def checked(*args, **kwargs):
+        try:
+            result = law(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise RegimeBreakdownError(f"{law.__name__} left the float range ({exc})") from None
+        if not np.all(np.isfinite(result)):
+            raise RegimeBreakdownError(f"{law.__name__} left the float range (a non-finite value)")
+        return result
+
+    return checked
+
+
 def thermal_de_broglie(mass: float, temperature: float, constants: PhysicalConstants = NATURAL) -> float:
     """Thermal de Broglie wavelength hbar / sqrt(m k T).
 
@@ -153,6 +172,7 @@ def thermal_de_broglie(mass: float, temperature: float, constants: PhysicalConst
     return constants.hbar / math.sqrt(mass * constants.k_boltzmann * temperature)
 
 
+@fail_closed
 def classicality_ratio(temperature: float, gamma: float, constants: PhysicalConstants = NATURAL) -> float:
     """Dimensionless ratio k T / (hbar gamma) separating thermal and damping scales.
 

@@ -128,11 +128,10 @@ def lindblad_rhs(spec, rho: np.ndarray, constants: PhysicalConstants = NATURAL) 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Fixed-step integration record: times, states (one per step), step size."""
+    """Fixed-step integration record: times and states, one per step."""
 
     times: np.ndarray
     states: np.ndarray
-    step: float
 
 
 # bound used when sanity-checking states produced by integration
@@ -164,9 +163,13 @@ def integrate_rk4(
     initial,
     t_end: float,
     dt: float,
-    check: Callable[[np.ndarray], None] | str | None = "auto",
 ) -> Trajectory:
     """Classical fourth-order Runge-Kutta with a fixed step.
+
+    When the state is a complex 2x2 matrix, every state of the finished
+    trajectory is held to density-matrix bounds (tolerance 1e-8), so a
+    too-large step surfaces as an invariant violation instead of silently
+    producing garbage.
 
     Parameters
     ----------
@@ -178,18 +181,9 @@ def integrate_rk4(
     t_end, dt : float
         Integration horizon and step; a shorter final step covers any
         remainder when dt does not divide t_end.
-    check : callable, "auto", or None
-        Trajectory validator, called once after the last step with the
-        stacked states (shape (steps + 1,) + initial shape).  The default
-        "auto" applies density-matrix bounds (tolerance 1e-8) to every
-        state when the state is a complex 2x2 matrix, so a too-large step
-        surfaces as an invariant violation instead of silently producing
-        garbage.
     """
     _check_step(t_end, dt)
     y = np.array(initial, dtype=complex if np.iscomplexobj(initial) else float)
-    if check == "auto":
-        check = _check_trajectory if y.shape == (2, 2) and np.iscomplexobj(y) else None
 
     times = [0.0]
     states = [y.copy()]
@@ -206,9 +200,9 @@ def integrate_rk4(
         times.append(t)
         states.append(y.copy())
     states = np.array(states)
-    if check is not None:
-        check(states)
-    return Trajectory(times=np.array(times), states=states, step=dt)
+    if y.shape == (2, 2) and np.iscomplexobj(y):
+        _check_trajectory(states)
+    return Trajectory(times=np.array(times), states=states)
 
 
 def _superoperator(jump: np.ndarray) -> np.ndarray:
@@ -326,7 +320,7 @@ def integrate_lindblad(
         entries += (y0, y1, y2, y3)
     states = np.array(entries, dtype=complex).reshape(-1, 2, 2)
     _check_trajectory(states)
-    return Trajectory(times=np.array(times), states=states, step=dt)
+    return Trajectory(times=np.array(times), states=states)
 
 
 def lindblad_bloch_deviation(

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NATURAL, PhysicalConstants, StateInvariantError, float_map, require_finite
+from .core import NATURAL, PhysicalConstants, StateInvariantError, fail_closed, float_map, require_finite
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -93,6 +91,7 @@ def bloch_rhs(spec: SpinBathSpec, state, constants: PhysicalConstants = NATURAL)
     ])
 
 
+@fail_closed
 def bloch_evolve(spec: SpinBathSpec, initial, t, constants: PhysicalConstants = NATURAL) -> np.ndarray:
     """Closed-form polarization at time t from the given initial vector.
 

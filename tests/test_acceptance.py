@@ -290,7 +290,7 @@ class TestCriterion7:
         assert fixed_point < 1e-14
 
         def rk4_error(h):
-            traj = integrate_rk4(lambda t, y: -y, np.array([1.0]), 1.0, h, check=None)
+            traj = integrate_rk4(lambda t, y: -y, np.array([1.0]), 1.0, h)
             return abs(traj.states[-1][0] - math.exp(-1.0))
 
         ratio = rk4_error(0.1) / rk4_error(0.05)

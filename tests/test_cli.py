@@ -3,6 +3,7 @@
 import hashlib
 import math
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -351,6 +352,14 @@ class TestErrorExits:
         assert "[free-cat] mass = 'inf' is not a finite number" in capsys.readouterr().err
         assert not (out / "report.txt").exists()
 
+    def test_negative_mass_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, FREE_CFG.replace("mass = 1.0", "mass = -1.0"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: [free-cat] mass must be positive, got -1.0\n"
+        assert not out.exists()
+
     def test_invalid_config(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[run]\nmode = unknown-thing\n")
         assert main(["run", cfg]) == 2
@@ -666,6 +675,82 @@ class TestMultiChunkRuns:
         traced_peak(1)  # warm-up: lazy imports and caches of a first run
         one, three = traced_peak(1), traced_peak(3)
         assert three <= 1.1 * one, (three, one)
+
+
+# 80,000-sample free-cat runs whose grid passes a regime's bound: half of the
+# ohmic-high-t grid lies past its window's end at 1/gamma = 1, and nearly all
+# of the decoupled grid past m/zeta / 10 = 0.1, where its law warns; data
+# digests taken when every one of those times warned on its own
+PAST_WINDOW_RUNS = {
+    "ohmic-high-t": ("""
+    [run]
+    mode = free-cat
+
+    [time]
+    end = 2.0
+    samples = 80000
+
+    [free-cat]
+    mass = 1.0
+    sigma = 1.0
+    d = 4.0
+    regime = ohmic-high-t
+    temperature = 200.0
+    gamma = 1.0
+    snapshots = 2
+    x_samples = 256
+""", [
+        "t = 1.00001 lies outside the validity window [0, 1) of the ohmic-high-t "
+        "kinematics (first of 40000 such times)",
+        # the snapshot at t = 2, a scalar call
+        "t = 2 lies outside the validity window [0, 1) of the ohmic-high-t kinematics",
+    ], {
+        "attenuation.csv": "05b1e996a75d8dbda3d4095fd24e2b8f2715c84c6a0fa5963fe909f20e82936e",
+        "catfield_00.csv": "7bdac76bf7109d3284cb2eaccd6824ed5bf958849d0d079e01cba549451fa35c",
+        "catfield_01.csv": "42209d4c84f1c9622277cbddf354efde0c932f2c018edf917721c4a6c8120025",
+    }),
+    "decoupled-high-t": ("""
+    [run]
+    mode = free-cat
+
+    [time]
+    end = 0.99
+    samples = 80000
+
+    [free-cat]
+    mass = 1.0
+    sigma = 1.0
+    d = 3.0
+    regime = decoupled-high-t
+    temperature = 3.0
+    zeta = 1.0
+    snapshots = 0
+""", [
+        "t = 0.100004 is a sizable fraction of m/zeta = 1; the weak-damping result "
+        "is approximate here (first of 71919 such times)",
+    ], {
+        "attenuation.csv": "17cbc0aef6c52409d27b6d7004d509f5d1971388cf791c6d5c011983a369db43",
+    }),
+}
+
+
+class TestLongRunsPastTheirWindow:
+    @pytest.mark.parametrize("name", sorted(PAST_WINDOW_RUNS))
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_one_warning_per_cause(self, tmp_path, capsys, name, verify):
+        text, expected, digests = PAST_WINDOW_RUNS[name]
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        argv = ["run", cfg, "--out", str(out)] + (["--verify"] if verify else [])
+        assert main(argv) == 0
+        assert capsys.readouterr().err.splitlines() == [f"warning: {w}" for w in expected]
+        report = (out / "report.txt").read_text().splitlines()
+        assert [line.split(" = ", 1)[1] for line in report if re.match(r"w\d+ = ", line)] == expected
+        written = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir()) if path.name != "report.txt"
+        }
+        assert written == digests
 
 
 class TestEntryPoint:

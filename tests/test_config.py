@@ -242,6 +242,22 @@ class TestRejections:
             re.escape(f"[free-cat] mass = '{raw}' is not a finite number"),
         )
 
+    @pytest.mark.parametrize("mode, block, text", [
+        ("free-cat", "mass = -1.0\nsigma = 1.0\nd = 3.0\nregime = free",
+         "mass must be positive, got -1.0"),
+        ("oscillator-cat", "mass = 1.0\nomega = 0.0\nd = 1.5\ntemperature = 0.7",
+         "omega must be positive, got 0.0"),
+        ("spin", "gamma = -1.0\nomega = 1.0\ntemperature = 1.0",
+         "gamma must be positive, got -1.0"),
+    ], ids=["free-cat", "oscillator-cat", "spin"])
+    def test_spec_record_refusal_names_its_section(self, mode, block, text):
+        # a value the parser reads but a spec record refuses, such as a
+        # negative mass, used to escape as a bare ValueError with no section
+        self.reject(
+            f"[run]\nmode = {mode}\n\n[time]\nend = 1.0\n\n[{mode}]\n{block}\n",
+            re.escape(f"[{mode}] {text}"),
+        )
+
     def test_time_ordering(self):
         self.reject(
             FREE_MINIMAL.replace("end = 2.0", "start = 3.0\nend = 2.0"), "start < end"

@@ -1,6 +1,7 @@
 """Constants, parameter records, and characteristic scales."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,8 +15,10 @@ from decolab.core import (
     NATURAL,
     CatSpec,
     PhysicalConstants,
+    RegimeBreakdownError,
     ReservoirSpec,
     classicality_ratio,
+    fail_closed,
     float_map,
     thermal_de_broglie,
 )
@@ -139,6 +142,35 @@ class TestClassicalityRatio:
             classicality_ratio(0.0, 1.0)
         with pytest.raises(ValueError):
             classicality_ratio(1.0, 0.0)
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize("body, cause", [
+        (lambda x: 10.0 ** x, ".*out of range.*"),  # the OverflowError's own text
+        (lambda x: 1.0 / (x - x), "float division by zero"),
+        (lambda x: np.array([1.0, (x - x) * math.inf]), "a non-finite value"),
+        (lambda x: np.array([0.0, -math.inf]), "a non-finite value"),
+    ], ids=["overflow", "zero-division", "nan", "inf"])
+    def test_leaving_the_float_range_raises_naming_the_law(self, body, cause):
+        def law(x):
+            return body(x)
+
+        with pytest.raises(RegimeBreakdownError) as caught:
+            fail_closed(law)(400.0)
+        assert re.fullmatch(rf"law left the float range \({cause}\)", str(caught.value))
+
+    def test_finite_results_and_typed_errors_pass_through(self):
+        values = np.array([0.0, 5e-324, 1e308])
+        law = fail_closed(lambda x: x)
+        assert law(values) is values and law(2.5) == 2.5
+        assert classicality_ratio.__name__ == "classicality_ratio"
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            classicality_ratio(1.0, -1.0)
+
+    def test_an_underflowed_damping_scale_raises(self):
+        # hbar gamma underflows to 0 in CGS, which raised a bare ZeroDivisionError
+        with pytest.raises(RegimeBreakdownError, match="classicality_ratio"):
+            classicality_ratio(1.0, 5e-324, CGS)
 
 
 class TestUnitRoundTrip:

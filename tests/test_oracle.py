@@ -200,12 +200,12 @@ class TestMasterEquationGenerator:
 
 class TestRK4:
     def test_scalar_exponential(self):
-        traj = integrate_rk4(lambda t, y: -y, np.array([1.0]), 2.0, 1e-3, check=None)
+        traj = integrate_rk4(lambda t, y: -y, np.array([1.0]), 2.0, 1e-3)
         assert traj.states[-1][0] == pytest.approx(math.exp(-2.0), abs=1e-10)
 
     def test_fourth_order_convergence(self):
         def err(h):
-            traj = integrate_rk4(lambda t, y: -y, np.array([1.0]), 1.0, h, check=None)
+            traj = integrate_rk4(lambda t, y: -y, np.array([1.0]), 1.0, h)
             return abs(traj.states[-1][0] - math.exp(-1.0))
 
         ratio = err(0.1) / err(0.05)
@@ -217,21 +217,20 @@ class TestRK4:
         np.testing.assert_allclose(traj.states[-1], rho0, rtol=0, atol=1e-14)
 
     def test_sampling_layout(self):
-        traj = integrate_rk4(lambda t, y: -y, np.array([1.0]), 1.0, 0.25, check=None)
+        traj = integrate_rk4(lambda t, y: -y, np.array([1.0]), 1.0, 0.25)
         np.testing.assert_allclose(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-15)
-        assert traj.step == 0.25
 
     def test_partial_final_step(self):
-        traj = integrate_rk4(lambda t, y: -y, np.array([1.0]), 1.0, 0.3, check=None)
+        traj = integrate_rk4(lambda t, y: -y, np.array([1.0]), 1.0, 0.3)
         assert traj.times[-1] == pytest.approx(1.0, abs=1e-12)
         assert traj.times.size == 5  # three full steps and one remainder
         assert traj.states[-1][0] == pytest.approx(math.exp(-1.0), abs=1e-4)
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
-            integrate_rk4(lambda t, y: -y, np.array([1.0]), 1.0, 0.0, check=None)
+            integrate_rk4(lambda t, y: -y, np.array([1.0]), 1.0, 0.0)
         with pytest.raises(ValueError):
-            integrate_rk4(lambda t, y: -y, np.array([1.0]), 1.0, 2.0, check=None)
+            integrate_rk4(lambda t, y: -y, np.array([1.0]), 1.0, 2.0)
 
     def test_density_check_catches_reckless_step(self):
         # a step of dozens of relaxation times blows the positivity bound
@@ -241,11 +240,6 @@ class TestRK4:
             integrate_rk4(
                 lambda t, rho: lindblad_rhs(SPIN, rho), rho0, 100.0 * t1, 50.0 * t1
             )
-
-    def test_check_sees_the_stacked_trajectory(self):
-        seen = []
-        traj = integrate_rk4(lambda t, y: -y, np.array([1.0]), 1.0, 0.25, check=seen.append)
-        assert len(seen) == 1 and np.array_equal(seen[0], traj.states)
 
     def test_density_check_catches_nan(self):
         # a generator that goes NaN mid-run must fail the automatic check
@@ -262,7 +256,7 @@ class TestRK4:
         t1, _ = relaxation_times(SPIN)
         initial = np.array([0.5, -0.3, 0.4])
         traj = integrate_rk4(
-            lambda t, p: bloch_rhs(SPIN, p), initial, 5.0 * t1, t1 / 1e4, check=None
+            lambda t, p: bloch_rhs(SPIN, p), initial, 5.0 * t1, t1 / 1e4
         )
         final = bloch_evolve(SPIN, initial, traj.times[-1])
         np.testing.assert_allclose(traj.states[-1], final, rtol=0, atol=1e-6)
