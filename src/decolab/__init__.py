@@ -38,7 +38,6 @@ from .cat_free import (
     attenuation_high_t,
     attenuation_low_t,
     cat_probability,
-    decoupled_decoherence_time,
     free_kinematics,
     high_t_decoherence_time,
     log_attenuation_decoupled_high_t,
@@ -53,11 +52,8 @@ from .cat_free import (
     tabulated_kinematics,
 )
 from .cat_oscillator import (
-    FreeParticleLimitReport,
     OscillatorSpec,
     attenuation_oscillator,
-    coherent_width,
-    free_particle_limit_check,
     minimum_attenuation,
     revival_times,
 )

@@ -195,11 +195,13 @@ def tabulated_kinematics(
 def _kinematics_at(kin: ReservoirKinematics, sigma: float, t):
     """c(t), s(t) and w^2(t) for a float or an array of t.
 
-    Raises RegimeBreakdownError for the first t where w^2 is not positive
-    (NaN included) or s is negative, before any warning; then warns once
-    if any t lies outside the validity window.  Cannot fail for the shipped
-    kinematics; guards user-supplied ones.
+    Raises RegimeBreakdownError if sigma^2 underflows to 0, then for the
+    first t where w^2 is not positive (NaN included) or s is negative,
+    before any warning; then warns once if any t lies outside the validity
+    window.  Past sigma^2, only user-supplied kinematics fail these tests.
     """
+    if not sigma * sigma > 0.0:
+        raise RegimeBreakdownError(f"packet width sigma = {sigma:g} underflows to 0 when squared")
     c = kin.c(t)
     s = kin.s(t)
     w2 = sigma * sigma + (c * c) / (4.0 * sigma * sigma) + s
@@ -451,6 +453,7 @@ def log_attenuation_from_terms(
     return FieldRatio.of(log_envelope - 0.5 * (log_p1 + log_p2))
 
 
+@fail_closed
 def high_t_decoherence_time(
     spec: CatSpec, temperature: float, constants: PhysicalConstants = NATURAL
 ) -> float:
@@ -575,19 +578,6 @@ def attenuation_low_t(
     first such t, before the warning.
     """
     return float_map(math.exp, log_attenuation_low_t(spec, zeta, t, constants))
-
-
-def decoupled_decoherence_time(
-    spec: CatSpec, zeta: float, temperature: float, constants: PhysicalConstants = NATURAL
-) -> float:
-    """Narrow-packet limit of the decoupled decay: tau_d = 3 hbar^2 / (zeta k T d^2)."""
-    if zeta <= 0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    if spec.d == 0:
-        raise ValueError("decoherence time is undefined for zero separation")
-    return 3.0 * constants.hbar ** 2 / (zeta * constants.k_boltzmann * temperature * spec.d ** 2)
 
 
 @fail_closed

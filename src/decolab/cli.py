@@ -50,14 +50,18 @@ def _print_checks(prefix: str, checks) -> None:
               f"(deviation {check.deviation:.3e}, tolerance {check.tolerance:.3e})")
 
 
+def _print_warnings(texts) -> None:
+    for text in texts:
+        print(f"warning: {text}", file=sys.stderr)
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config).with_overrides(
         verify=args.verify, output_dir=args.out, fmt=args.fmt
     )
     report = run(config)
     print(f"wrote {len(report.files)} file(s) + report.txt to {report.output_dir}")
-    for text in report.warnings:
-        print(f"warning: {text}", file=sys.stderr)
+    _print_warnings(report.warnings)
     if report.verification is not None:
         _print_checks("verify", report.verification)
     return 0 if report.passed else 1
@@ -67,8 +71,7 @@ def _cmd_compare(args) -> int:
     config = load_config(args.config)
     with recorded_warnings() as texts:
         path = compare_regimes(config)
-    for text in texts:
-        print(f"warning: {text}", file=sys.stderr)
+    _print_warnings(texts)
     print(f"wrote {path}")
     return 0
 
@@ -93,6 +96,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:  # RegimeBreakdownError among them
+        # the warnings a run or comparison raised before it failed
+        _print_warnings(getattr(exc, "warnings", ()))
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -157,6 +157,7 @@ def fail_closed(law):
     return checked
 
 
+@fail_closed
 def thermal_de_broglie(mass: float, temperature: float, constants: PhysicalConstants = NATURAL) -> float:
     """Thermal de Broglie wavelength hbar / sqrt(m k T).
 

@@ -23,9 +23,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import NATURAL, ConvergenceError, PhysicalConstants
-from .spin_bloch import SIGMA_MINUS, SIGMA_PLUS, check_density_matrix, nbar
+from .spin_bloch import check_density_matrix, nbar
 
 EVALUATION_BUDGET = 10_000_000
+
+# ladder operators in the basis where the upper level is index 0
+SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 
 class QuadratureResult(NamedTuple):
@@ -321,22 +325,3 @@ def integrate_lindblad(
     states = np.array(entries, dtype=complex).reshape(-1, 2, 2)
     _check_trajectory(states)
     return Trajectory(times=np.array(times), states=states)
-
-
-def lindblad_bloch_deviation(
-    spec,
-    initial_polarization,
-    t_end: float,
-    dt: float,
-    constants: PhysicalConstants = NATURAL,
-) -> float:
-    """Max entrywise gap between the integrated master equation and the
-    closed-form Bloch solution, over every recorded sample (NaN if any
-    gap is NaN)."""
-    from .spin_bloch import bloch_evolve, density_from_polarization
-
-    p0 = np.asarray(initial_polarization, dtype=float)
-    traj = integrate_lindblad(spec, density_from_polarization(p0), t_end, dt, constants)
-    gap = density_from_polarization(bloch_evolve(spec, p0, traj.times, constants))
-    gap -= traj.states
-    return float(np.max(np.abs(gap)))

@@ -20,10 +20,11 @@ from .runner import (
     LINDBLAD_TOL,
     NORMALIZATION_TOL,
     RATIO_TOL,
+    lindblad_bloch_deviation,
     normalization_deviation,
     ratio_identity_deviation,
 )
-from .spin_bloch import IDENTITY2, PAULI_Z, SpinBathSpec
+from .spin_bloch import SpinBathSpec
 
 
 def _quadrature_polynomial() -> Check:
@@ -84,7 +85,7 @@ def _random_polarizations(seed: int, count: int):
 
 def _lindblad_fixed_point() -> Check:
     p0 = spin_bloch.equilibrium_polarization(_SPIN)
-    rho_eq = 0.5 * (IDENTITY2 + p0 * PAULI_Z)
+    rho_eq = spin_bloch.density_from_polarization([0.0, 0.0, p0])
     rhs = oracle.lindblad_rhs(_SPIN, rho_eq)
     return Check("lindblad_fixed_point", float(np.max(np.abs(rhs))), 1e-14)
 
@@ -100,7 +101,7 @@ def _lindblad_traceless() -> Check:
 def _lindblad_vs_bloch() -> Check:
     t1, _ = spin_bloch.relaxation_times(_SPIN)
     gaps = [
-        oracle.lindblad_bloch_deviation(_SPIN, p, 5.0 * t1, t1 / 200.0)
+        lindblad_bloch_deviation(_SPIN, p, 5.0 * t1, t1 / 200.0)
         for p in _random_polarizations(11, 5)
     ]
     return Check("lindblad_vs_bloch", float(np.max(gaps)), LINDBLAD_TOL)

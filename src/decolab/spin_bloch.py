@@ -20,11 +20,6 @@ import numpy as np
 
 from .core import NATURAL, PhysicalConstants, StateInvariantError, fail_closed, float_map, require_finite
 
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-IDENTITY2 = np.eye(2, dtype=complex)
-
 
 @dataclass(frozen=True)
 class SpinBathSpec:
@@ -68,6 +63,7 @@ def equilibrium_polarization(spec: SpinBathSpec, constants: PhysicalConstants = 
     return -1.0 / (2.0 * nbar(spec.omega, spec.temperature, constants) + 1.0)
 
 
+@fail_closed
 def relaxation_times(spec: SpinBathSpec, constants: PhysicalConstants = NATURAL) -> tuple[float, float]:
     """(T1, T2) with 1/T1 = gamma (2 nbar + 1) and T2 = 2 T1.
 

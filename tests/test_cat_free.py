@@ -25,7 +25,6 @@ from decolab.cat_free import (
     attenuation_low_t,
     cat_pointwise,
     cat_probability,
-    decoupled_decoherence_time,
     default_grid,
     free_kinematics,
     high_t_decoherence_time,
@@ -506,20 +505,16 @@ class TestDecoupledHighTemperatureLaw:
         assert attenuation_decoupled_high_t(spec, 0.0, 3.0, 0.7) == 1.0
 
     def test_narrow_packet_limit(self):
-        # sigma -> 0 collapses the law to plain exponential decay
+        # sigma -> 0 collapses the law to plain exponential decay, with
+        # tau = 3 hbar^2 / (zeta k T d^2)
         spec = CatSpec(mass=1.0, sigma=1e-3, d=2.0)
         zeta, temperature = 0.5, 2.0
-        tau = decoupled_decoherence_time(spec, zeta, temperature)
+        tau = 3.0 / (zeta * temperature * spec.d ** 2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeValidityWarning)
             for t in (0.05, 0.4, 1.2):
                 a = attenuation_decoupled_high_t(spec, zeta, temperature, t)
                 assert a == pytest.approx(math.exp(-t / tau), rel=1e-8)
-
-    def test_limit_time_constant(self):
-        spec = CatSpec(mass=1.0, sigma=1e-3, d=2.0)
-        tau = decoupled_decoherence_time(spec, 0.5, 2.0)
-        assert tau == pytest.approx(3.0 / (0.5 * 2.0 * 4.0), rel=1e-12)
 
     def test_horizon_and_warning(self):
         spec = CatSpec(mass=1.0, sigma=1.0, d=2.0)

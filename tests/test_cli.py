@@ -365,6 +365,32 @@ class TestErrorExits:
         assert main(["run", cfg]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_warnings_of_a_failed_run_print_before_the_error(self, tmp_path, capsys):
+        # the bath warns that kT/(hbar gamma) is not large, then sigma^2
+        # underflows to 0 and the run raises
+        cfg = write_cfg(tmp_path, """
+            [run]
+            mode = free-cat
+
+            [time]
+            end = 1
+            samples = 10
+
+            [free-cat]
+            mass = 1
+            sigma = 1e-200
+            d = 1
+            regime = ohmic-high-t
+            temperature = 1
+            gamma = 1
+            snapshots = 0
+        """)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith("warning: kT/(hbar gamma) = 1 is not large")
+        assert err[1] == "error: packet width sigma = 1e-200 underflows to 0 when squared"
+
     def test_compare_regimes_rejects_spin(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SPIN_CFG)
         assert main(["compare-regimes", cfg]) == 2
@@ -417,16 +443,16 @@ class TestSelftestCommand:
         assert out.count("selftest ") >= 10
 
     def test_nan_deviation_fails(self, capsys, monkeypatch):
-        import decolab.oracle as oracle_mod
+        import decolab.selftest as selftest_mod
 
-        original = oracle_mod.lindblad_bloch_deviation
+        original = selftest_mod.lindblad_bloch_deviation
         calls = []
 
         def nan_on_third(*args, **kwargs):
             calls.append(args)
             return math.nan if len(calls) == 3 else original(*args, **kwargs)
 
-        monkeypatch.setattr(oracle_mod, "lindblad_bloch_deviation", nan_on_third)
+        monkeypatch.setattr(selftest_mod, "lindblad_bloch_deviation", nan_on_third)
         assert main(["selftest"]) == 1
         out = capsys.readouterr().out
         assert "selftest lindblad_vs_bloch: FAIL" in out

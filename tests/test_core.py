@@ -22,6 +22,8 @@ from decolab.core import (
     float_map,
     thermal_de_broglie,
 )
+from decolab.cat_free import cat_probability, free_kinematics, high_t_decoherence_time, packet_variance
+from decolab.spin_bloch import SpinBathSpec, relaxation_times
 
 # frozen with 40-digit arithmetic from the defining constants
 LAMBDA_1G_300K = 5.1817194115067113e-21
@@ -166,6 +168,18 @@ class TestFailClosed:
         assert classicality_ratio.__name__ == "classicality_ratio"
         with pytest.raises(ValueError, match="gamma must be positive"):
             classicality_ratio(1.0, -1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: packet_variance(free_kinematics(1.0), 1e-200, 0.0),
+        lambda: cat_probability(CatSpec(1.0, 1e-200, 1.0), free_kinematics(1.0), 0.0),
+        lambda: thermal_de_broglie(5e-324, 5e-324),
+        lambda: high_t_decoherence_time(CatSpec(1.0, 1.0, 5e-324), 5e-324),
+        lambda: relaxation_times(SpinBathSpec(5e-324, 1.0, 1.0)),
+    ], ids=["packet-variance", "cat-probability", "de-broglie", "high-t-time", "relaxation"])
+    def test_underflowed_scales_raise_a_typed_error(self, call):
+        # these divided by zero, or returned (inf, inf), instead
+        with pytest.raises(RegimeBreakdownError):
+            call()
 
     def test_an_underflowed_damping_scale_raises(self):
         # hbar gamma underflows to 0 in CGS, which raised a bare ZeroDivisionError

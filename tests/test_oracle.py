@@ -1,5 +1,6 @@
 """Independent numerical routes: adaptive quadrature, RK4, raw master equation."""
 
+import ast
 import math
 import pathlib
 
@@ -12,6 +13,8 @@ from decolab.cat_free import cat_pointwise, free_kinematics
 from decolab.config import load_config
 from decolab.core import CatSpec, ConvergenceError, StateInvariantError
 from decolab.oracle import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
     Trajectory,
     _kernel_coefficients,
     _sparse_rows,
@@ -19,12 +22,10 @@ from decolab.oracle import (
     integrate_adaptive,
     integrate_lindblad,
     integrate_rk4,
-    lindblad_bloch_deviation,
     lindblad_rhs,
 )
+from decolab.runner import lindblad_bloch_deviation
 from decolab.spin_bloch import (
-    SIGMA_MINUS,
-    SIGMA_PLUS,
     SpinBathSpec,
     bloch_evolve,
     bloch_rhs,
@@ -447,3 +448,30 @@ class TestLindbladIntegration:
         assert isinstance(traj, Trajectory)
         assert traj.states.shape == (5, 2, 2)
         assert traj.times[0] == 0.0
+
+
+class TestIndependence:
+    """The oracle must share no code with the closed forms it verifies."""
+
+    def test_oracle_imports_no_closed_form(self):
+        tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+        in_functions = [
+            node.lineno
+            for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+        assert in_functions == []
+        # (source module, bound name) of every import; `from . import x` has source ""
+        imported = [
+            (node.module or "", alias.name) if isinstance(node, ast.ImportFrom)
+            else (alias.name, alias.name)
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        ]
+        from_spin_bloch = []
+        for module, name in imported:
+            touched = {*module.split("."), *name.split(".")}
+            assert not touched & {"cat_free", "cat_oscillator"}, (module, name)
+            if "spin_bloch" in touched:
+                from_spin_bloch.append(name)
+        assert sorted(from_spin_bloch) == ["check_density_matrix", "nbar"]
