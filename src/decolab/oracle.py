@@ -6,13 +6,13 @@ Runge-Kutta integrator.  Neither shares any code with the analytic formulas
 they are used to verify, which is the point: agreement between the two
 routes is the evidence.
 
-The raw two-level master equation is driven by its own RK4 loop on
-Python-scalar complex numbers, the four entries of vec(rho), because numpy
-call overhead on 4-element arrays would dominate it.  That loop rounds
-exactly as `integrate_rk4` on `lindblad_rhs` does, up to the sign of a zero,
-though it folds the superoperators' +-1, +-2 coefficients into the rates (a
-power-of-two scaling) and takes the last population row as the first one
-negated (round-to-nearest is symmetric); see `integrate_lindblad`.
+The raw two-level master equation is driven by its own RK4 loop on Python
+floats, one recurrence per real component of vec(rho), because numpy call
+overhead on 4-element arrays would dominate it.  Every product in the
+generator is a real rate times an entry and every sum is entrywise, so real
+and imaginary parts never mix, and each recurrence rounds exactly as
+`integrate_rk4` on `lindblad_rhs` does, up to the sign of a zero; see
+`integrate_lindblad`.
 """
 
 import functools
@@ -260,68 +260,84 @@ def _lindblad_coefficients() -> tuple[float, ...]:
     return _kernel_coefficients(_superoperator(SIGMA_MINUS), _superoperator(SIGMA_PLUS))
 
 
+def _population_run(y0: float, y3: float, d: float, u: float, steps) -> tuple[list, list]:
+    """RK4 on a real part of (rho00, rho11): row 0 is d*y0 + u*y3, row 3 minus it."""
+    out0, out3 = [y0], [y3]
+    for h, half, sixth in steps:
+        p = d * y0 + u * y3
+        q = d * (y0 + half * p) + u * (y3 - half * p)
+        r = d * (y0 + half * q) + u * (y3 - half * q)
+        s = d * (y0 + h * r) + u * (y3 - h * r)
+        k = sixth * (((p + 2.0 * q) + 2.0 * r) + s)
+        y0, y3 = y0 + k, y3 - k
+        out0.append(y0)
+        out3.append(y3)
+    return out0, out3
+
+
+def _coherence_run(y: float, d: float, u: float, steps) -> list:
+    """RK4 on one real component of a coherence, whose row is d*y + u*y."""
+    out = [y]
+    for h, half, sixth in steps:
+        p = d * y + u * y
+        v = y + half * p
+        q = d * v + u * v
+        v = y + half * q
+        r = d * v + u * v
+        v = y + h * r
+        y = y + sixth * (((p + 2.0 * q) + 2.0 * r) + (d * v + u * v))
+        out.append(y)
+    return out
+
+
 def integrate_lindblad(
-    spec,
-    rho0: np.ndarray,
-    t_end: float,
-    dt: float,
-    constants: PhysicalConstants = NATURAL,
+    spec, rho0: np.ndarray, t_end: float, dt: float, constants: PhysicalConstants = NATURAL
 ) -> Trajectory:
     """Drive the raw master equation from rho0 by RK4 and check the trajectory.
 
-    The generator acts on vec(rho) as down * D + up * U, with the 4x4
-    superoperators D and U built by applying the ladder-operator
-    dissipators of `lindblad_rhs` to the basis matrices.  Each row of D and
-    U has one nonzero entry, +-1 or +-2; row 0 reads the populations
-    (columns 0 and 3), rows 1 and 2 only their own coherence, and row 3 is
-    row 0 negated (all checked when the table is built, once per process).
-    RK4 runs on the four entries as Python complex scalars, with the stage
-    sums and the final combination in the same order as `integrate_rk4`.
-
-    Each state equals, bit for bit, RK4 on `lindblad_rhs`; only the sign of
-    a zero may differ.  The coefficients are folded into the rates,
-    (c*down)*v for down*(c*v): scaling by +-1 or +-2 is exact short of
-    overflow, so both are one rounding of the same real product.  Row 3's
-    right side is minus row 0's, because round-to-nearest is symmetric, so
-    y3 takes row 0's increments with the sign flipped instead of a product
-    of its own.  Every product is a real float times a complex, which numpy
-    and Python both round component by component; no product of two
-    non-real complex numbers, which vectorised numpy loops may fuse
-    differently, occurs.  rho0 need not be Hermitian: rho10 keeps its own
-    recurrence.  The states are checked against the density-matrix bounds
-    (tolerance 1e-8) once, after the last step.
+    The generator acts on vec(rho) as down * D + up * U, D and U the
+    superoperators of `lindblad_rhs`'s dissipators in the table form
+    `_kernel_coefficients` checks.  Their +-1, +-2 entries are folded into
+    the rates, (c*down)*v for down*(c*v), both one rounding of one product.
+    Row 3 takes row 0's increments negated (round-to-nearest is symmetric).
+    Every product is a real rate times an entry, which numpy rounds
+    component by component, and every sum is entrywise, so RK4 runs as
+    float recurrences with `integrate_rk4`'s stage order: the real and the
+    imaginary population pair, and one per real component of rho01 and of
+    rho10 (rho0 need not be Hermitian).  Each state equals RK4 on
+    `lindblad_rhs` bit for bit, up to the sign of a zero.  A zero start
+    stays zero, and the map is odd, so only each distinct nonzero
+    (|start|, rates) is stepped.  rho0 and then every state are held to the
+    density-matrix bounds (tolerance 1e-8).
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (2, 2):
         raise ValueError(f"rho0 must be 2x2, got shape {rho0.shape}")
     _check_step(t_end, dt)
+    _check_trajectory(rho0)
     down, up = _rates(spec, constants)
-    coefficients = _lindblad_coefficients()
-    d0, u0, d1, u1, d2, u2 = (c * rate for c, rate in zip(coefficients, (down, up) * 3))
+    d0, u0, d1, u1, d2, u2 = (c * r for c, r in zip(_lindblad_coefficients(), (down, up) * 3))
 
-    entries = rho0.ravel().tolist()  # vec(rho) of every state, one after another
-    y0, y1, y2, y3 = entries
-    times = [0.0]
-    t = 0.0
-    stop = _stop_time(t_end)
+    full = (dt, 0.5 * dt, dt / 6.0)
+    steps, times = [], [0.0]
+    t, stop = 0.0, _stop_time(t_end)
     while t < stop:
-        h = min(dt, t_end - t)
-        half = 0.5 * h
-        p0, p1, p2 = d0 * y0 + u0 * y3, d1 * y1 + u1 * y1, d2 * y2 + u2 * y2
-        v0, v1, v2, v3 = y0 + half * p0, y1 + half * p1, y2 + half * p2, y3 - half * p0
-        q0, q1, q2 = d0 * v0 + u0 * v3, d1 * v1 + u1 * v1, d2 * v2 + u2 * v2
-        v0, v1, v2, v3 = y0 + half * q0, y1 + half * q1, y2 + half * q2, y3 - half * q0
-        r0, r1, r2 = d0 * v0 + u0 * v3, d1 * v1 + u1 * v1, d2 * v2 + u2 * v2
-        v0, v1, v2, v3 = y0 + h * r0, y1 + h * r1, y2 + h * r2, y3 - h * r0
-        s0, s1, s2 = d0 * v0 + u0 * v3, d1 * v1 + u1 * v1, d2 * v2 + u2 * v2
-        sixth = h / 6.0
-        k0 = sixth * (((p0 + 2.0 * q0) + 2.0 * r0) + s0)
-        y0, y3 = y0 + k0, y3 - k0
-        y1 = y1 + sixth * (((p1 + 2.0 * q1) + 2.0 * r1) + s1)
-        y2 = y2 + sixth * (((p2 + 2.0 * q2) + 2.0 * r2) + s2)
+        h = dt if t_end - t >= dt else t_end - t  # min(dt, t_end - t), without the call
+        steps.append(full if h == dt else (h, 0.5 * h, h / 6.0))
         t += h
         times.append(t)
-        entries += (y0, y1, y2, y3)
-    states = np.array(entries, dtype=complex).reshape(-1, 2, 2)
+
+    states = np.zeros((len(times), 4), dtype=complex)  # vec(rho) of each state
+    runs = {}
+    for part, start in ((states.real, rho0.real.ravel()), (states.imag, rho0.imag.ravel())):
+        y0, y1, y2, y3 = start.tolist()
+        if y0 or y3:
+            part[:, 0], part[:, 3] = _population_run(y0, y3, d0, u0, steps)
+        for column, y, d, u in ((1, y1, d1, u1), (2, y2, d2, u2)):
+            if y:
+                if (key := (abs(y), d, u)) not in runs:
+                    runs[key] = np.array(_coherence_run(abs(y), d, u, steps))
+                part[:, column] = runs[key] if y > 0 else -runs[key]
+    states = states.reshape(-1, 2, 2)
     _check_trajectory(states)
     return Trajectory(times=np.array(times), states=states)

@@ -339,6 +339,7 @@ def run(config: RunConfig) -> RunReport:
     """Execute one configuration and write all of its outputs."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "report.txt").unlink(missing_ok=True)  # a run that raises leaves no old report
     with recorded_warnings() as collected:
         files, checks = _RUNNERS[type(config.params)](config)
 

@@ -124,6 +124,19 @@ class TestCriterion2:
             f"max term-integral drift = {worst_invariance:.2e}, both < 1e-6)"
         )
 
+    @pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="a depth-2 Simpson panel much wider than w passes by chance (ROADMAP item 5)",
+    )
+    def test_c2_term_invariance_on_a_wide_snapshot_sweep(self):
+        # `perfbench/run.py --workload scaled --seed 107`'s snapshot config: the
+        # P1 integral at snapshot 98 is off by 2.1e-6 with an estimate of 2.8e-10
+        spec = CatSpec(mass=1.3719348955861697, sigma=1.477824805540521, d=3.631170255699146)
+        kin = ohmic_high_t_kinematics(spec.mass, 2.1888208253025616, 0.01)
+        times = np.linspace(0.0, 0.6232409798346791, 100)
+        _, invariance, _ = field_checks(spec, kin, times)
+        assert invariance.passed, invariance
+
 
 class TestCriterion3:
     def test_c3_attenuation_ratio_identity(self):

@@ -68,6 +68,25 @@ OSC_CFG = """
     temperature = 0.7
 """
 
+# a run that raises: sigma^2 underflows to 0, after a bath-validity warning
+UNDERFLOW_CFG = """
+    [run]
+    mode = free-cat
+
+    [time]
+    end = 1
+    samples = 10
+
+    [free-cat]
+    mass = 1
+    sigma = 1e-200
+    d = 1
+    regime = ohmic-high-t
+    temperature = 1
+    gamma = 1
+    snapshots = 0
+"""
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -368,28 +387,19 @@ class TestErrorExits:
     def test_warnings_of_a_failed_run_print_before_the_error(self, tmp_path, capsys):
         # the bath warns that kT/(hbar gamma) is not large, then sigma^2
         # underflows to 0 and the run raises
-        cfg = write_cfg(tmp_path, """
-            [run]
-            mode = free-cat
-
-            [time]
-            end = 1
-            samples = 10
-
-            [free-cat]
-            mass = 1
-            sigma = 1e-200
-            d = 1
-            regime = ohmic-high-t
-            temperature = 1
-            gamma = 1
-            snapshots = 0
-        """)
+        cfg = write_cfg(tmp_path, UNDERFLOW_CFG)
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2
         assert err[0].startswith("warning: kT/(hbar gamma) = 1 is not large")
         assert err[1] == "error: packet width sigma = 1e-200 underflows to 0 when squared"
+
+    def test_failed_run_leaves_no_report_of_an_earlier_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", write_cfg(tmp_path, FREE_CFG), "--out", str(out)]) == 0
+        assert "status = pass" in (out / "report.txt").read_text()
+        assert main(["run", write_cfg(tmp_path, UNDERFLOW_CFG, "bad.cfg"), "--out", str(out)]) == 2
+        assert not (out / "report.txt").exists()
 
     def test_compare_regimes_rejects_spin(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SPIN_CFG)

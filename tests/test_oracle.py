@@ -272,6 +272,17 @@ def assert_matches_raw_generator(spec, rho0, t_end, dt):
     return fast
 
 
+def count_runs(monkeypatch):
+    """The name of each float recurrence `integrate_lindblad` steps, in order."""
+    runs = []
+    for name in ("_population_run", "_coherence_run"):
+        def counted(*args, name=name, run=getattr(oracle, name)):
+            runs.append(name)
+            return run(*args)
+        monkeypatch.setattr(oracle, name, counted)
+    return runs
+
+
 class TestLindbladIntegration:
     @pytest.mark.parametrize("temperature", [0.0, SPIN.temperature, 1e4])
     def test_superoperator_route_is_bit_identical_to_raw_generator(self, temperature):
@@ -375,6 +386,47 @@ class TestLindbladIntegration:
         rho0[1, 0] += complex(3e-12, -1e-12)
         traj = assert_matches_raw_generator(SPIN, rho0, 2.0, 0.05)
         assert not np.array_equal(traj.states[:, 1, 0], traj.states[:, 0, 1].conj())
+
+    @pytest.mark.parametrize(
+        "polarization, coherence_runs",
+        [([0.8, 0.0, 0.1], 1), ([0.0, 0.0, 0.0], 0), ([-0.5, 0.5, 0.0], 1)],
+        ids=["zero-p_y", "all-zero", "opposite-signs"],
+    )
+    def test_bit_identical_with_zero_and_mirrored_components(
+        self, polarization, coherence_runs, monkeypatch
+    ):
+        # zero components are not stepped; -v reuses the run of +v, negated
+        t1, _ = relaxation_times(SPIN)
+        runs = count_runs(monkeypatch)
+        rho0 = density_from_polarization(polarization)
+        assert_matches_raw_generator(SPIN, rho0, 3.0 * t1, t1 / 7.0)
+        assert runs.count("_coherence_run") == coherence_runs
+
+    def test_bit_identical_with_imaginary_populations(self):
+        # the populations' imaginary pair runs its own recurrence
+        rho0 = density_from_polarization([0.3, -0.2, 0.4])
+        rho0[0, 0] += 1e-12j
+        rho0[1, 1] -= 1e-12j
+        traj = assert_matches_raw_generator(SPIN, rho0, 2.0, 0.05)
+        assert np.all(traj.states[:, 0, 0].imag != 0.0)
+
+    def test_shipped_start_steps_one_pair_and_one_coherence(self, monkeypatch):
+        # p_y = 0: the populations' imaginary parts and Im rho01, Im rho10 stay
+        # zero, and Re rho10 = Re rho01 reuses its run
+        config = load_config(pathlib.Path(__file__).parent.parent / "configs" / "spin.cfg")
+        spec = config.params.spec
+        t1, _ = relaxation_times(spec)
+        runs = count_runs(monkeypatch)
+        rho0 = density_from_polarization(config.params.initial)
+        integrate_lindblad(spec, rho0, config.t_end, min(t1, config.t_end) / 400.0)
+        assert sorted(runs) == ["_coherence_run", "_population_run"]
+
+    def test_invalid_start_fails_before_any_step(self, monkeypatch):
+        runs = count_runs(monkeypatch)
+        rho0 = 2.0 * density_from_polarization([0.2, 0.0, 0.1])
+        with pytest.raises(StateInvariantError, match="trace"):
+            integrate_lindblad(SPIN, rho0, 10.0, 1e-3)
+        assert runs == []
 
     def test_nan_in_rho0_fails_the_check(self):
         rho0 = density_from_polarization([0.2, 0.0, 0.1])
