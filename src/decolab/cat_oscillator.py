@@ -75,12 +75,15 @@ def attenuation_oscillator(
     return float_map(math.exp, expo)
 
 
-def minimum_attenuation(spec: OscillatorSpec, constants: PhysicalConstants = NATURAL) -> float:
-    """Floor of the cycle, reached where cos^2(omega t) = 1 (t = 0, pi/omega, ...)."""
+def exponent_prefactor(spec: OscillatorSpec, constants: PhysicalConstants = NATURAL) -> float:
+    """K = m omega d^2 / (2 hbar sinh(hbar omega / k T)), so a(t) = exp(-K cos^2(omega t))."""
     x = constants.hbar * spec.omega / (constants.k_boltzmann * spec.temperature)
-    return math.exp(
-        -spec.mass * spec.omega * spec.d ** 2 / (2.0 * constants.hbar) * _inverse_sinh(x)
-    )
+    return spec.mass * spec.omega * spec.d ** 2 / (2.0 * constants.hbar) * _inverse_sinh(x)
+
+
+def minimum_attenuation(spec: OscillatorSpec, constants: PhysicalConstants = NATURAL) -> float:
+    """Floor of the cycle, exp(-K), reached where cos^2(omega t) = 1 (t = 0, pi/omega, ...)."""
+    return math.exp(-exponent_prefactor(spec, constants))
 
 
 def revival_times(spec: OscillatorSpec, n_max: int) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Two deliberately simple workhorses live here: an adaptive Simpson quadrature
 (for normalization and overlap integrals) and a fixed-step fourth-order
-Runge-Kutta integrator.  Neither shares any code with the analytic formulas
-they are used to verify, which is the point: agreement between the two
-routes is the evidence.
+Runge-Kutta integrator.  Agreement of two routes is evidence only if they
+share no code, and one link remains: the master equation's rates read
+`spin_bloch.nbar`, as the Bloch law does, so an error there reaches both.
 
 The raw two-level master equation is driven by its own RK4 loop on Python
 floats, one recurrence per real component of vec(rho), because numpy call
@@ -138,8 +138,7 @@ class Trajectory:
     states: np.ndarray
 
 
-# bound used when sanity-checking states produced by integration
-_TRAJECTORY_TOL = 1e-8
+_TRAJECTORY_TOL = 1e-8  # density-matrix bound on every state integrate_lindblad makes
 
 
 def _check_step(t_end: float, dt: float) -> None:
@@ -170,10 +169,8 @@ def integrate_rk4(
 ) -> Trajectory:
     """Classical fourth-order Runge-Kutta with a fixed step.
 
-    When the state is a complex 2x2 matrix, every state of the finished
-    trajectory is held to density-matrix bounds (tolerance 1e-8), so a
-    too-large step surfaces as an invariant violation instead of silently
-    producing garbage.
+    It checks no invariant of the state; `integrate_lindblad` holds its
+    own density matrices to their bounds.
 
     Parameters
     ----------
@@ -203,10 +200,7 @@ def integrate_rk4(
         t += h
         times.append(t)
         states.append(y.copy())
-    states = np.array(states)
-    if y.shape == (2, 2) and np.iscomplexobj(y):
-        _check_trajectory(states)
-    return Trajectory(times=np.array(times), states=states)
+    return Trajectory(times=np.array(times), states=np.array(states))
 
 
 def _superoperator(jump: np.ndarray) -> np.ndarray:
@@ -215,42 +209,27 @@ def _superoperator(jump: np.ndarray) -> np.ndarray:
     return np.column_stack([_dissipator(jump, e).ravel() for e in basis])
 
 
-_EXACT_COEFFICIENTS = (-2.0, -1.0, 1.0, 2.0)
-
-
-def _sparse_rows(op: np.ndarray) -> list[tuple[int, float]]:
-    """(column, coefficient) of the single nonzero entry of each row of op.
-
-    Raises ValueError unless every row has exactly one nonzero entry and it
-    is real and one of +-1, +-2: the scalar Lindblad kernel is exact only
-    because each of its superoperator products is a single such product.
-    """
-    rows = []
-    for i, row in enumerate(np.asarray(op)):
-        cols = np.flatnonzero(row)
-        if cols.size != 1 or row[cols[0]] not in _EXACT_COEFFICIENTS:
-            raise ValueError(
-                f"superoperator row {i} is {row}; the scalar kernel needs exactly "
-                "one nonzero entry, real and in +-1, +-2"
-            )
-        rows.append((int(cols[0]), float(row[cols[0]].real)))
-    return rows
-
-
 def _kernel_coefficients(down_op: np.ndarray, up_op: np.ndarray) -> tuple[float, ...]:
-    """(a0, b0, a1, b1, a2, b2): the D and U coefficients of rows 0-2.
+    """(a0, b0, a1, b1, a2, b2) = D[0,0], U[0,3], D[1,1], U[1,1], D[2,2], U[2,2],
+    the entries of D and U that `integrate_lindblad` reads.
 
-    Raises ValueError naming the row unless row 0 takes D from column 0 and
-    U from column 3, rows 1 and 2 couple only to their own column, and row
-    3 is row 0 negated in both: the form `integrate_lindblad` relies on.
+    Raises ValueError naming the first row at which D or U differs from the
+    form the kernel steps: those entries, each kept only if real and in
+    +-1, +-2, zeros elsewhere, and row 3 row 0 negated.
     """
-    d_rows, u_rows = _sparse_rows(down_op), _sparse_rows(up_op)
-    for i, needed in enumerate(((0, 3), (1, 1), (2, 2))):
-        if (found := (d_rows[i][0], u_rows[i][0])) != needed:
-            raise ValueError(f"superoperator row {i} reads columns {found}, not {needed}")
-    if any(rows[3] != (rows[0][0], -rows[0][1]) for rows in (d_rows, u_rows)):
-        raise ValueError("superoperator row 3 is not row 0 negated; the scalar kernel needs it")
-    return tuple(c for pair in zip(d_rows[:3], u_rows[:3]) for _, c in pair)
+    tables = np.array([down_op, up_op], dtype=complex)
+    at = ((0, 1, 0, 1, 0, 1), (0, 0, 1, 1, 2, 2), (0, 3, 1, 1, 2, 2))
+    read = tables[at]
+    form = np.zeros_like(tables)
+    form[at] = np.where(np.isin(read, (-2.0, -1.0, 1.0, 2.0)), read, 0.0)
+    form[:, 3] = -form[:, 0]
+    rows = np.flatnonzero(np.any(tables != form, axis=(0, 2)))
+    if rows.size:
+        raise ValueError(
+            f"superoperator row {rows[0]} is D {tables[0, rows[0]]}, U {tables[1, rows[0]]}; "
+            f"the scalar kernel needs D {form[0, rows[0]].real}, U {form[1, rows[0]].real}"
+        )
+    return tuple(read.real.tolist())
 
 
 @functools.cache
@@ -296,10 +275,11 @@ def integrate_lindblad(
     """Drive the raw master equation from rho0 by RK4 and check the trajectory.
 
     The generator acts on vec(rho) as down * D + up * U, D and U the
-    superoperators of `lindblad_rhs`'s dissipators in the table form
-    `_kernel_coefficients` checks.  Their +-1, +-2 entries are folded into
-    the rates, (c*down)*v for down*(c*v), both one rounding of one product.
-    Row 3 takes row 0's increments negated (round-to-nearest is symmetric).
+    superoperators of `lindblad_rhs`'s dissipators.  `_kernel_coefficients`
+    checks that they hold only the six entries the kernel reads, each 0,
+    +-1 or +-2, plus row 3 = -row 0.  Those entries are folded into the rates,
+    (c*down)*v for down*(c*v), both one rounding of one product, and row 3
+    takes row 0's increments negated (round-to-nearest is symmetric).
     Every product is a real rate times an entry, which numpy rounds
     component by component, and every sum is entrywise, so RK4 runs as
     float recurrences with `integrate_rk4`'s stage order: the real and the

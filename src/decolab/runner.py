@@ -20,7 +20,7 @@ import numpy as np
 
 from . import cat_free, cat_oscillator, oracle, spin_bloch
 from .config import FreeCatParams, OscillatorParams, RunConfig, SpinParams
-from .core import NATURAL, CatSpec, Check, ConfigError, PhysicalConstants, float_map
+from .core import NATURAL, CatSpec, Check, ConfigError, PhysicalConstants, float_map, warn_regime
 from .output import (
     config_hash,
     data_extension,
@@ -281,8 +281,17 @@ def _run_oscillator(config: RunConfig):
     checks = None
     if config.verify:
         checks = []
-        if len(revivals):
-            at_revivals = cat_oscillator.attenuation_oscillator(spec, revivals, constants)
+        # the float omega t nearest a revival lies about a spacing from it,
+        # where K cos^2 is ~K spacing^2: above REVIVAL_TOL no float time resolves it
+        k = cat_oscillator.exponent_prefactor(spec, constants)
+        resolvable = k * np.spacing(spec.omega * revivals) ** 2 <= REVIVAL_TOL
+        if not np.all(resolvable):
+            warn_regime(
+                f"revival t = {revivals[~resolvable][0]:g} and later are narrower than the "
+                f"float spacing of omega t (K = {k:.4g}); left out of revival_unity"
+            )
+        if np.any(resolvable):
+            at_revivals = cat_oscillator.attenuation_oscillator(spec, revivals[resolvable], constants)
             dev = float(np.max(np.abs(at_revivals - 1.0)))
             checks.append(Check("revival_unity", dev, REVIVAL_TOL))
         floor = cat_oscillator.minimum_attenuation(spec, constants)

@@ -68,6 +68,38 @@ OSC_CFG = """
     temperature = 0.7
 """
 
+# a macroscopic cat in CGS units: K = 1.86e34 at the first revival
+CGS_OSC_CFG = """
+    [run]
+    mode = oscillator-cat
+    unit_system = cgs
+
+    [time]
+    end = 4.0
+    samples = 50
+
+    [oscillator-cat]
+    mass = 1.0
+    omega = 1.0
+    d = 1e-3
+    temperature = 300.0
+"""
+
+LOW_T_CFG = """
+    [run]
+    mode = free-cat
+
+    [time]
+    end = 0.5
+
+    [free-cat]
+    mass = 1.0
+    sigma = 1.0
+    d = 4.0
+    regime = low-t
+    zeta = 1.0
+"""
+
 # a run that raises: sigma^2 underflows to 0, after a bath-validity warning
 UNDERFLOW_CFG = """
     [run]
@@ -172,6 +204,52 @@ class TestRunCommand:
         floor = np.min(curve[:, 1])
         assert np.all(curve[:, 1] <= 1.0)
         assert floor > 0.0
+
+    def test_cgs_oscillator_checks_no_revival_it_cannot_resolve(self, tmp_path, capsys):
+        # K = m omega d^2 / (2 hbar sinh(hbar omega / kT)) is 1.86e34 here:
+        # no float time lands close enough to t_1 = pi/2 for a(t) to read 1
+        cfg = write_cfg(tmp_path, CGS_OSC_CFG)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--verify", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "revival_unity" not in captured.out
+        assert "verify minimum_closed_form: PASS" in captured.out
+        assert captured.err.startswith("warning: revival t = 1.5708 and later")
+        assert "K = 1.862e+34" in captured.err
+        report = (out / "report.txt").read_text()
+        assert "revival_unity" not in report.split("[verification]")[1]
+        assert "status = pass" in report
+
+    def test_oscillator_checks_only_its_resolvable_revivals(self, tmp_path, capsys):
+        # K = 1e16 and omega = 2: omega t_1 = pi/2 resolves (K spacing^2 =
+        # 4.9e-16), omega t_2 = 3 pi/2 does not (7.9e-15)
+        cfg = write_cfg(tmp_path, OSC_CFG.replace("d = 1.5", "d = 1e6").replace(
+            "temperature = 0.7", "temperature = 2e4\n    n_revivals = 3"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--verify", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "verify revival_unity: PASS (deviation 0.000e+00" in captured.out
+        assert captured.err.startswith("warning: revival t = 2.35619 and later")
+        assert read_table(out / "revivals.csv").shape == (3, 1)
+
+    def test_free_regime_verifies(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, FREE_CFG.replace("ohmic-high-t", "free").replace(
+            "    temperature = 2.0\n    gamma = 0.0\n", ""))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--verify", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "FAIL" not in printed
+        assert "verify term_time_invariance: PASS" in printed
+        assert "regime = free" in (out / "catfield_02.csv").read_text()
+
+    def test_snapshot_grid_spans_x_min_to_x_max(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, FREE_CFG + "    x_min = -3.0\n    x_max = 3.0\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--verify", "--out", str(out)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        for i in range(3):
+            x = read_table(out / f"catfield_{i:02d}.csv")[:, 0]
+            assert x.size == 512 and x[0] == -3.0 and x[-1] == 3.0
 
     def test_structured_format_override(self, tmp_path):
         cfg = write_cfg(tmp_path, SPIN_CFG)
@@ -442,6 +520,14 @@ class TestCompareRegimes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == len(set(err))
         assert sum(line.startswith("warning: separation d = 2 is not large") for line in err) == 2
+
+
+    def test_regime_without_temperature_is_refused(self, tmp_path, capsys):
+        cmp = tmp_path / "cmp"
+        cfg = write_cfg(tmp_path, LOW_T_CFG.replace("[time]", f"output_dir = {cmp}\n\n    [time]"))
+        assert main(["compare-regimes", cfg]) == 2
+        assert "needs a positive temperature" in capsys.readouterr().err
+        assert not cmp.exists()
 
 
 class TestSelftestCommand:
