@@ -175,9 +175,12 @@ def tabulated_kinematics(
     c_values = np.asarray(c_values, dtype=float)
     s_values = np.asarray(s_values, dtype=float)
     if times.ndim != 1 or times.size < 2:
-        raise ValueError("need at least two samples")
+        raise ValueError(f"need at least two samples, got times of shape {times.shape}")
     if times.shape != c_values.shape or times.shape != s_values.shape:
-        raise ValueError("times, c_values, s_values must have matching shapes")
+        raise ValueError(
+            "times, c_values, s_values must have matching shapes, got "
+            f"{times.shape}, {c_values.shape}, {s_values.shape}"
+        )
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
     if times[0] != 0.0:

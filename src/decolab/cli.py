@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .config import load_config
-from .core import ConfigError
+from .core import ConfigError, ConvergenceError
 from .output import FORMATS
 from .runner import compare_regimes, recorded_warnings, run
 from .selftest import run_selftest
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:  # RegimeBreakdownError among them
+    except (ValueError, OSError, ConvergenceError) as exc:  # RegimeBreakdownError among them
         # the warnings a run or comparison raised before it failed
         _print_warnings(getattr(exc, "warnings", ()))
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,8 @@ Two deliberately simple workhorses live here: an adaptive Simpson quadrature
 Runge-Kutta integrator.  Agreement of two routes is evidence only if they
 share no code, and one link remains: the master equation's rates read
 `spin_bloch.nbar`, as the Bloch law does, so an error there reaches both.
+selftest's `detailed_balance` holds those rates to exp(-hbar omega/kT),
+computed without `nbar`.
 
 The raw two-level master equation is driven by its own RK4 loop on Python
 floats, one recurrence per real component of vec(rho), because numpy call

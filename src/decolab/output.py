@@ -36,9 +36,10 @@ with their sign.
 
 The text of a block is laid out in a uint8 matrix, one fixed 25-byte slot
 per number (sign, digits, exponent of up to 3 digits, separator) after the
-structured-text "r<i> = " prefix, and a boolean mask of the same shape
-drops the unused bytes (a "+" sign, a third exponent digit, the leading
-zeros of i) in one compress per block.
+structured-text "r<i> = " prefix.  A byte left 0 is not written: the sign
+of a positive number, a third exponent digit that reads 0, the leading
+zeros of i and the tail of a fallback slot.  A block's text is the
+matrix's nonzero bytes, taken in one compress.
 """
 
 import functools
@@ -51,11 +52,11 @@ DELIMITED = "delimited-text"
 STRUCTURED = "structured-text"
 FORMATS = (DELIMITED, STRUCTURED)
 
-# rows formatted per kernel call by write_table; bounds the memory held at once
-BLOCK_ROWS = 4096
+# rows formatted per kernel call by write_table, in one pass: the kernel's
+# temporaries scale with BLOCK_ROWS x columns values (14,336 for the spin
+# table's 7 columns), about 150 bytes per value
+BLOCK_ROWS = 2048
 
-# values per kernel pass inside a block: bounds its temporaries to about 0.5 MB
-_CHUNK = 4096
 # |x| outside [_SMALLEST, _LARGEST) is formatted by "%.16e" (module docstring)
 _SMALLEST = 1e-290
 _LARGEST = 1e290
@@ -186,12 +187,11 @@ def _decimal(values: np.ndarray):
     return n, k, fallback & ~zero
 
 
-def _layout(rows: int, columns: int, prefix: int) -> tuple[np.ndarray, np.ndarray]:
-    """The constant bytes of a block and an all-True keep mask: a prefix of
-    `prefix` bytes, then one _SLOT per number."""
+def _layout(rows: int, columns: int, prefix: int) -> np.ndarray:
+    """The constant bytes of a block: a prefix of `prefix` bytes, then one
+    _SLOT per number.  A byte left 0 is not written."""
     out = np.zeros((rows, prefix + columns * _SLOT), dtype=np.uint8)
     cells = out[:, prefix:].reshape(rows, columns, _SLOT)
-    cells[..., 0] = ord("-")
     cells[..., 2] = ord(".")
     cells[..., 19] = ord("e")
     cells[..., _SEPARATOR] = ord(",")
@@ -199,61 +199,47 @@ def _layout(rows: int, columns: int, prefix: int) -> tuple[np.ndarray, np.ndarra
     if prefix:
         out[:, 0] = ord("r")
         out[:, prefix - 3:prefix] = np.frombuffer(b" = ", dtype=np.uint8)
-    return out, np.ones(out.shape, dtype=bool)
+    return out
 
 
-def _write_numbers(values: np.ndarray, cells: np.ndarray, kept: np.ndarray) -> list:
-    """Write the (rows, columns) values into their slots: bytes into cells,
-    which bytes count into kept.  Returns the (row, column) of each value
-    written by "%.16e", whose slot's constant bytes it overwrote."""
-    n, k, fallback = _decimal(values)
-    kept[..., 0] = np.signbit(values)
+def _format_block(block: np.ndarray, out: np.ndarray, prefix: int, first_row: int) -> np.ndarray:
+    """The text of `block`'s rows as bytes: written into out, which _layout
+    made for at least as many rows, and read back as its nonzero bytes."""
+    rows, columns = block.shape
+    out = out[:rows]
+    if prefix:  # "r<index> = ", the index in prefix - 4 digit places
+        rest = np.arange(first_row, first_row + rows)
+        for column in range(prefix - 4, 0, -1):
+            upper = rest // 10
+            digit = _ASCII_DIGITS[rest - upper * 10]
+            # a leading zero is dropped; the last place always stays
+            out[:, column] = digit if column == prefix - 4 else np.where(rest > 0, digit, 0)
+            rest = upper
+    cells = out[:, prefix:].reshape(rows, columns, _SLOT)
+    n, k, fallback = _decimal(block)
+    cells[..., 0] = np.where(np.signbit(block), ord("-"), 0)
     # n = leading 10^16 + (q0 10^12 + q1 10^8 + q2 10^4 + q3): the digits
     # after the point come four at a time from _quad_table()
-    upper, low = np.divmod(n, 10 ** 8)
-    leading, high = np.divmod(upper, 10 ** 8)
-    quads = np.stack(np.divmod(np.stack([high, low], axis=-1), 10 ** 4), axis=-1)
+    upper = n // 10 ** 8
+    leading = upper // 10 ** 8
+    halves = np.stack([upper - leading * 10 ** 8, n - upper * 10 ** 8], axis=-1)
+    high = halves // 10 ** 4
+    quads = np.stack([high, halves - high * 10 ** 4], axis=-1)
     cells[..., 1] = _ASCII_DIGITS[leading]
     quad_table = _quad_table()
-    cells[..., 3:19] = quad_table[quads.reshape(*values.shape, 4)].view(np.uint8)
+    cells[..., 3:19] = quad_table[quads.reshape(rows, columns, 4)].view(np.uint8)
     cells[..., 20] = np.where(k < 0, ord("-"), ord("+"))
-    cells[..., 21:24] = quad_table[np.abs(k)].view(np.uint8).reshape(*values.shape, 4)[..., 1:]
-    kept[..., 21] = cells[..., 21] != ord("0")  # a third exponent digit only from 100 on
-    slow = list(zip(*np.nonzero(fallback)))
-    for i, j in slow:
-        text = np.frombuffer(b"%.16e" % values[i, j], dtype=np.uint8)
-        cells[i, j, :text.size] = text
-        kept[i, j, :_SEPARATOR] = np.arange(_SEPARATOR) < text.size
-    return slow
-
-
-def _format_block(
-    block: np.ndarray, out: np.ndarray, keep: np.ndarray, prefix: int, first_row: int
-):
-    """The text of `block`'s rows as bytes, written into out and keep, which
-    _layout made for at least as many rows: out[keep] is the text."""
-    rows, columns = block.shape
-    out, keep = out[:rows], keep[:rows]
-    keep[...] = True
-    if prefix:  # "r<index> = ", the index in prefix - 4 digit places
-        index = np.arange(first_row, first_row + rows)
-        places = prefix - 4
-        rest = index
-        for column in range(places, 0, -1):
-            rest, digit = np.divmod(rest, 10)
-            out[:, column] = _ASCII_DIGITS[digit]
-            if column < places:  # leading zeros are dropped
-                keep[:, column] = index >= 10 ** (places - column)
-    cells = out[:, prefix:].reshape(rows, columns, _SLOT)
-    kept = keep[:, prefix:].reshape(rows, columns, _SLOT)
-    step = max(1, _CHUNK // columns)
-    slow = []
-    for start in range(0, rows, step):
-        part = slice(start, start + step)
-        slow += [(start + i, j) for i, j in _write_numbers(block[part], cells[part], kept[part])]
-    text = out[keep]
-    for i, j in slow:  # restore the constant bytes for the next block
-        cells[i, j, [0, 2, 19]] = np.frombuffer(b"-.e", dtype=np.uint8)
+    exponent = quad_table[np.abs(k)].view(np.uint8).reshape(rows, columns, 4)
+    # a third exponent digit only from 100 on
+    cells[..., 21] = np.where(exponent[..., 1] == ord("0"), 0, exponent[..., 1])
+    cells[..., 22:24] = exponent[..., 2:]
+    for i, j in zip(*np.nonzero(fallback)):
+        text = b"%.16e" % block[i, j]
+        cells[i, j, :_SEPARATOR] = 0
+        cells[i, j, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    text = out[out != 0]
+    # the next block rewrites every other byte of a slot
+    cells[fallback, 2], cells[fallback, 19] = ord("."), ord("e")
     return text
 
 
@@ -287,11 +273,11 @@ def write_table(path: Path, meta: dict, columns: list[str], rows, fmt: str) -> N
     with open(path, "wb") as handle:
         handle.write(("\n".join(header) + "\n").encode("utf-8"))
         if rows.shape[0]:
-            out, keep = _layout(min(rows.shape[0], BLOCK_ROWS), rows.shape[1], prefix)
+            out = _layout(min(rows.shape[0], BLOCK_ROWS), rows.shape[1], prefix)
             for start in range(0, rows.shape[0], BLOCK_ROWS):
                 # the kernel's byte views need C-ordered intermediates
                 block = np.ascontiguousarray(rows[start:start + BLOCK_ROWS])
-                handle.write(_format_block(block, out, keep, prefix, start))
+                handle.write(_format_block(block, out, prefix, start))
 
 
 def write_sections(path: Path, sections: dict) -> None:

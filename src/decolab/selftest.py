@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import cat_free, oracle, spin_bloch
-from .core import CatSpec, Check
+from .core import NATURAL, CatSpec, Check
 from .runner import (
     LINDBLAD_TOL,
     NORMALIZATION_TOL,
@@ -117,6 +117,21 @@ def _trace_preservation() -> Check:
     return Check("trace_preservation", float(np.max(np.hypot(gap.real, gap.imag))), 1e-10)
 
 
+def _detailed_balance() -> Check:
+    """The oracle's up/down rate ratio against exp(-hbar omega/kT) (relative)
+    and P0 against -tanh(hbar omega/2kT), both computed here from the spec,
+    at _SPIN and at hbar omega/kT = 0.8.  The rates are the real population
+    entries of the generator applied to each pure level."""
+    gaps = []
+    for spec in (_SPIN, SpinBathSpec(gamma=1.0, omega=1.0, temperature=1.25)):
+        x = NATURAL.hbar * spec.omega / (NATURAL.k_boltzmann * spec.temperature)
+        up = oracle.lindblad_rhs(spec, np.diag([0.0, 1.0]))[0, 0].real
+        down = oracle.lindblad_rhs(spec, np.diag([1.0, 0.0]))[1, 1].real
+        gaps.append(abs(up / down - math.exp(-x)) / math.exp(-x))
+        gaps.append(abs(spin_bloch.equilibrium_polarization(spec) + math.tanh(0.5 * x)))
+    return Check("detailed_balance", float(np.max(gaps)), 1e-12)
+
+
 def _random_cats(seed: int, count: int):
     """Seeded (spec, kinematics, t) cases in a hot, weakly damped ohmic bath."""
     rng = np.random.default_rng(seed)
@@ -156,6 +171,7 @@ _CHECKS = (
     _trace_preservation,
     _ratio_identity,
     _normalization,
+    _detailed_balance,
 )
 
 

@@ -1,6 +1,8 @@
 """Two-packet superposition: spreading, interference, attenuation regimes."""
 
 import math
+import re
+import types
 import warnings
 
 import numpy as np
@@ -36,11 +38,13 @@ from decolab.cat_free import (
     normalization_constant,
     ohmic_high_t_kinematics,
     packet_variance,
+    resolvable_overlap,
     single_packet_prob,
     tabulated_kinematics,
 )
+from decolab import runner
 from decolab.oracle import integrate_adaptive
-from decolab.runner import _cat_integral
+from decolab.runner import RATIO_TOL, _cat_integral, ratio_identity_deviation
 
 # frozen reference values (40-digit arithmetic)
 EXP_M25_8 = 0.043936933623407417      # exp(-25/8), fringe suppression at d = 5 sigma
@@ -305,6 +309,16 @@ class TestQuadratureNormalization:
         fringe = _cat_integral(spec, point, lambda x: 2.0 * point.interference(x))
         assert fringe / direct == pytest.approx(EXP_M25_8, rel=1e-6)
 
+    def test_far_apart_windows_add_as_a_left_fold(self, monkeypatch):
+        # d/2 > 20 w: three windows; compensated summation would give 1e-17
+        values = iter([1.0, 1e-17, -1.0])
+        monkeypatch.setattr(
+            runner.oracle, "integrate_adaptive",
+            lambda *args, **kwargs: types.SimpleNamespace(value=next(values)),
+        )
+        spec = CatSpec(mass=1.0, sigma=1.0, d=100.0)
+        assert _cat_integral(spec, types.SimpleNamespace(w2=1.0), None) == 0.0
+
 
 class TestAttenuationExact:
     def test_quarter_decade_example(self):
@@ -400,6 +414,19 @@ class TestFieldRatioRecovery:
         assert exact == pytest.approx(-16000.0, rel=1e-12)
         assert abs(recovered.value - exact) < 1e-10
         assert recovered.max_deviation < 1e-9
+
+    def test_ratio_identity_is_absolute_below_1e_100(self):
+        # a = 2.8e-136 while every grid point still resolves p1 p2
+        spec = CatSpec(mass=1.0, sigma=1.0, d=50.0)
+        kin = ohmic_high_t_kinematics(1.0, 1000.0, 0.0)
+        field = cat_probability(spec, kin, 1.0)
+        assert np.all(resolvable_overlap(field))
+        assert log_attenuation_exact(spec, kin, 1.0) == pytest.approx(-312.1, abs=0.05)
+        assert 0.0 < attenuation_exact(spec, kin, 1.0) < 1e-100
+        deviation = ratio_identity_deviation(spec, kin, 1.0)
+        # the absolute gap is ~1e-152; a relative one would be ~1e-16
+        assert deviation < 1e-140
+        assert deviation < RATIO_TOL
 
 
 class TestHighTemperatureLaw:
@@ -547,3 +574,35 @@ class TestDefaultGrid:
         grid = default_grid(spec, 1.5, n_points=301)
         assert grid.size == 301
         assert grid[0] == -grid[-1]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ReservoirKinematics(c=abs, s=abs, validity=(1.0, 1.0)),
+     "validity window must be non-empty, got (1.0, 1.0)"),
+    (lambda: free_kinematics(0.0), "mass must be positive, got 0.0"),
+    (lambda: ohmic_high_t_kinematics(-1.0, 1.0, 0.0), "mass must be positive, got -1.0"),
+    (lambda: ohmic_high_t_kinematics(1.0, 0.0, 0.0), "temperature must be positive, got 0.0"),
+    (lambda: ohmic_high_t_kinematics(1.0, 1.0, -0.5), "gamma must be non-negative, got -0.5"),
+    (lambda: tabulated_kinematics([0.0], [0.0], [0.0]),
+     "need at least two samples, got times of shape (1,)"),
+    (lambda: tabulated_kinematics([0.0, 1.0], [0.0, 1.0, 2.0], [0.0, 1.0]),
+     "matching shapes, got (2,), (3,), (2,)"),
+    (lambda: packet_variance(free_kinematics(1.0), 0.0, 1.0), "sigma must be positive, got 0.0"),
+    (lambda: normalization_constant(-1.0, 1.0), "sigma must be positive, got -1.0"),
+    (lambda: normalization_constant(1.0, -2.0), "separation d must be non-negative, got -2.0"),
+    (lambda: high_t_decoherence_time(CatSpec(1.0, 1.0, 1.0), 0.0), "temperature must be positive, got 0.0"),
+    (lambda: high_t_decoherence_time(CatSpec(1.0, 1.0, 0.0), 1.0), "undefined for zero separation"),
+    (lambda: low_t_time_constant(CatSpec(1.0, 1.0, 1.0), 0.0), "zeta must be positive, got 0.0"),
+    (lambda: low_t_time_constant(CatSpec(1.0, 1.0, 0.0), 1.0), "undefined for zero separation"),
+    (lambda: log_attenuation_decoupled_high_t(CatSpec(1.0, 1.0, 1.0), -1.0, 1.0, 0.1),
+     "zeta must be non-negative, got -1.0"),
+    (lambda: log_attenuation_decoupled_high_t(CatSpec(1.0, 1.0, 1.0), 1.0, 0.0, 0.1),
+     "temperature must be positive, got 0.0"),
+], ids=[
+    "validity", "free-mass", "ohmic-mass", "ohmic-temperature", "ohmic-gamma", "table-size",
+    "table-shapes", "variance-sigma", "norm-sigma", "norm-d", "tau-d-temperature", "tau-d-separation",
+    "tau-0-zeta", "tau-0-separation", "decoupled-zeta", "decoupled-temperature",
+])
+def test_refusal_names_the_bad_value(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -479,6 +479,14 @@ class TestErrorExits:
         assert main(["run", write_cfg(tmp_path, UNDERFLOW_CFG, "bad.cfg"), "--out", str(out)]) == 2
         assert not (out / "report.txt").exists()
 
+    def test_exhausted_quadrature_budget_is_an_error_exit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner_mod.oracle, "EVALUATION_BUDGET", 50)
+        cfg = str(pathlib.Path(__file__).parent.parent / "configs" / "free_cat.cfg")
+        assert main(["run", cfg, "--out", str(tmp_path / "out"), "--verify"]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: quadrature exhausted its budget of 50 evaluations\n")
+        assert not (tmp_path / "out" / "report.txt").exists()
+
     def test_compare_regimes_rejects_spin(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SPIN_CFG)
         assert main(["compare-regimes", cfg]) == 2

@@ -1,5 +1,6 @@
 """Config parsing: happy paths, defaults, and every rejection branch."""
 
+import dataclasses
 import math
 import re
 import textwrap
@@ -35,6 +36,22 @@ FREE_MINIMAL = textwrap.dedent(
     sigma = 1.0
     d = 3.0
     regime = free
+    """
+)
+
+
+OSCILLATOR_MINIMAL = textwrap.dedent(
+    """
+    [run]
+    mode = oscillator-cat
+
+    [time]
+    end = 2.0
+
+    [oscillator-cat]
+    mass = 1.0
+    omega = 2.0
+    d = 1.5
     """
 )
 
@@ -178,6 +195,10 @@ class TestHappyPaths:
             """
         )
         assert config.mode == "free-cat"
+
+    def test_false_boolean(self):
+        config = cfg(FREE_MINIMAL.replace("mode = free-cat", "mode = free-cat\nverify = no"))
+        assert config.verify is False
 
     def test_with_overrides(self):
         config = cfg(FREE_MINIMAL)
@@ -378,6 +399,31 @@ class TestRejections:
             """,
             "unit ball",
         )
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: cfg(FREE_MINIMAL.replace("regime = free", "regime = free\nsnapshots = -1")),
+         "[free-cat] snapshots must be non-negative, got -1"),
+        (lambda: cfg(FREE_MINIMAL.replace("regime = free", "regime = free\nx_samples = 1")),
+         "[free-cat] x_samples must be at least 2, got 1"),
+        (lambda: cfg(OSCILLATOR_MINIMAL + "temperature = 1.0\nn_revivals = 0\n"),
+         "[oscillator-cat] n_revivals must be positive, got 0"),
+        (lambda: cfg(FREE_MINIMAL).with_overrides(fmt="yaml"),
+         "format must be one of ('delimited-text', 'structured-text'), got 'yaml'"),
+        (lambda: dataclasses.replace(cfg(FREE_MINIMAL), unit_system="si"),
+         "unit_system must be 'natural' or 'cgs', got 'si'"),
+        (lambda: cfg(FREE_MINIMAL.replace("mass = 1.0\n", "")),
+         "[free-cat] is missing required key 'mass'"),
+        (lambda: cfg(FREE_MINIMAL.replace("end = 2.0", "end = 2.0\nsamples = many")),
+         "[time] samples = 'many' is not an integer"),
+        (lambda: cfg(OSCILLATOR_MINIMAL + "hbar_omega_over_kt = -1.0\n"),
+         "[oscillator-cat] hbar_omega_over_kt must be positive, got -1.0"),
+    ], ids=[
+        "snapshots", "x_samples", "n_revivals", "format", "unit_system",
+        "required-key", "integer", "hbar_omega_over_kt",
+    ])
+    def test_refusal_names_the_bad_value(self, build, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build()
 
     def test_syntax_error(self):
         self.reject("[run\nmode = spin\n", "syntax")

@@ -3,6 +3,7 @@
 import ast
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -479,6 +480,17 @@ class TestLindbladIntegration:
         assert isinstance(traj, Trajectory)
         assert traj.states.shape == (5, 2, 2)
         assert traj.times[0] == 0.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: integrate_adaptive(math.exp, 0.0, 1.0, tol=0.0), "tolerance must be positive, got 0.0"),
+    (lambda: integrate_rk4(lambda t, y: -y, 1.0, -1.0, 0.1), "t_end must be non-negative, got -1.0"),
+    (lambda: integrate_lindblad(SpinBathSpec(1.0, 1.0, 1.0), np.eye(3) / 3.0, 1.0, 0.1),
+     "rho0 must be 2x2, got shape (3, 3)"),
+], ids=["tolerance", "t_end", "rho0-shape"])
+def test_refusal_names_the_bad_value(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestIndependence:

@@ -1,6 +1,7 @@
 """Two-level system relaxing into a thermal bath."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -317,3 +318,16 @@ class TestMagnetization:
         late = bloch_evolve(spec, [0.0, 0.0, 0.0], 40.0)
         mz, _ = magnetization(spec, late)
         assert mz == pytest.approx(msat, rel=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: nbar(0.0, 1.0), "omega must be positive, got 0.0"),
+    (lambda: nbar(1.0, -1.0), "temperature must be non-negative, got -1.0"),
+    (lambda: bloch_evolve(eighth_spec(), [0.0, 0.0], 1.0), "initial must have shape (3,), got (2,)"),
+    (lambda: density_from_polarization([0.0, 0.0]), "state must have shape (3,) or (..., 3), got (2,)"),
+    (lambda: magnetization(eighth_spec(g_n=2.0, mu0=3.0), [[0.0, 0.0, 0.5]]),
+     "state must have shape (3,), got (1, 3)"),
+], ids=["nbar-omega", "nbar-temperature", "bloch-initial", "density-state", "magnetization-state"])
+def test_refusal_names_the_bad_value(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

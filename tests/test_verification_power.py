@@ -197,7 +197,7 @@ PLANTS = [
     pytest.param(plant_o2, {"oscillator.cfg:revival_unity", "oscillator.cfg:minimum_closed_form"}, id="O2"),
     pytest.param(plant_s1, LINDBLAD, id="S1"),
     pytest.param(plant_s2, LINDBLAD, id="S2"),
-    pytest.param(plant_s3, set(), id="S3", marks=missed("ROADMAP item 4 (a spin oracle that shares nothing)")),
+    pytest.param(plant_s3, {"selftest:detailed_balance"}, id="S3"),
 ]
 
 
