@@ -36,7 +36,6 @@ from .cat_free import (
     attenuation_exact,
     attenuation_from_field,
     attenuation_high_t,
-    attenuation_low_t,
     cat_probability,
     free_kinematics,
     high_t_decoherence_time,
@@ -60,12 +59,9 @@ from .cat_oscillator import (
 from .spin_bloch import (
     SpinBathSpec,
     bloch_evolve,
-    bloch_rhs,
     density_from_polarization,
     equilibrium_polarization,
-    magnetization,
     nbar,
-    polarization_from_density,
     relaxation_times,
 )
 from .oracle import (

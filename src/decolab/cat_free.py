@@ -544,8 +544,16 @@ def log_attenuation_low_t(
     t: float | np.ndarray,
     constants: PhysicalConstants = NATURAL,
 ):
-    """log a(t) of the low-temperature law (see attenuation_low_t), finite
-    where a(t) underflows to 0; same warnings and errors."""
+    """log a(t) of the low-temperature (dissipation-driven) law
+
+        a(t) = exp[ (t/tau_0)^2 (log(zeta t / m) + gamma_E - 3/2) ],
+
+    finite where a(t) underflows to 0.  Hard-limited to t < m/zeta, where
+    the bracket is negative and a < 1.  The derivation also assumes t above
+    a short-time cutoff that is not pinned down quantitatively, so small-t
+    values carry a warning (once per call).  An array with any t < 0 or
+    t >= m/zeta raises for the first such t, before the warning.
+    """
     if zeta <= 0:
         raise ValueError(f"zeta must be positive, got {zeta}")
     if _check_horizon(t, spec.mass / zeta, "low-temperature").size:
@@ -562,25 +570,6 @@ def log_attenuation_low_t(
         bracket = float_map(math.log, zeta * tm / spec.mass) + EULER_GAMMA - 1.5
         out[moving] = float_map(lambda q: q ** 2, tm / tau0) * bracket
     return out if out.ndim else float(out)
-
-
-def attenuation_low_t(
-    spec: CatSpec,
-    zeta: float,
-    t: float | np.ndarray,
-    constants: PhysicalConstants = NATURAL,
-):
-    """Low-temperature (dissipation-driven) attenuation.
-
-        a(t) = exp[ (t/tau_0)^2 (log(zeta t / m) + gamma_E - 3/2) ]
-
-    Hard-limited to t < m/zeta, where the bracket is negative and a < 1.
-    The derivation also assumes t above a short-time cutoff that is not
-    pinned down quantitatively, so small-t values carry a warning (once
-    per call).  An array with any t < 0 or t >= m/zeta raises for the
-    first such t, before the warning.
-    """
-    return float_map(math.exp, log_attenuation_low_t(spec, zeta, t, constants))
 
 
 @fail_closed

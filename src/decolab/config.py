@@ -22,8 +22,9 @@ from .spin_bloch import SpinBathSpec
 
 REGIMES = ("free", "ohmic-high-t", "low-t", "decoupled-high-t")
 
-# cap on samples and x_samples: a typo such as an extra zero fails at
-# parse time instead of filling memory and disk
+# cap on every count that sizes an array (samples, x_samples, snapshots,
+# n_revivals): a typo such as an extra zero fails at parse time instead of
+# filling memory and disk
 MAX_SAMPLES = 10 ** 7
 
 
@@ -73,7 +74,7 @@ class FreeCatParams:
         if x_min is not None and not x_min < x_max:
             raise ConfigError(f"[{sec.name}] needs x_min < x_max, got [{x_min}, {x_max}]")
 
-        snapshots = sec.get_int("snapshots", default=5)
+        snapshots = sec.get_int("snapshots", default=5, maximum=MAX_SAMPLES)
         if snapshots < 0:
             raise ConfigError(f"[{sec.name}] snapshots must be non-negative, got {snapshots}")
         x_samples = sec.get_int("x_samples", default=2048, maximum=MAX_SAMPLES)
@@ -106,7 +107,7 @@ class OscillatorParams:
             d=sec.get_float("d", required=True),
             temperature=_resolve_temperature(sec, omega, constants),
         )
-        n_revivals = sec.get_int("n_revivals")
+        n_revivals = sec.get_int("n_revivals", maximum=MAX_SAMPLES)
         if n_revivals is not None and n_revivals < 1:
             raise ConfigError(f"[{sec.name}] n_revivals must be positive, got {n_revivals}")
         return cls(spec=spec, n_revivals=n_revivals)

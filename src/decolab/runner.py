@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cat_free, cat_oscillator, oracle, spin_bloch
-from .config import FreeCatParams, OscillatorParams, RunConfig, SpinParams
+from .config import MAX_SAMPLES, FreeCatParams, OscillatorParams, RunConfig, SpinParams
 from .core import NATURAL, CatSpec, Check, ConfigError, PhysicalConstants, float_map, warn_regime
 from .output import (
     config_hash,
@@ -263,17 +263,22 @@ def _run_oscillator(config: RunConfig):
     params = config.params
     spec = params.spec
     constants = config.constants
+    if params.n_revivals is not None:
+        n = params.n_revivals
+    else:
+        # revivals inside the sampled window
+        n = max(0, int(math.floor(spec.omega * config.t_end / math.pi + 0.5)))
+        if n > MAX_SAMPLES:
+            raise ConfigError(
+                f"end = {config.t_end:g} and omega = {spec.omega:g} hold {n} revivals, "
+                f"above the cap of {MAX_SAMPLES}; set n_revivals"
+            )
     times = _time_grid(config)
 
     curve = cat_oscillator.attenuation_oscillator(spec, times, constants)
     rows = np.column_stack([times, curve])
     files = [_write_data(config, "attenuation", "attenuation-curve", ["t", "a"], rows)]
 
-    if params.n_revivals is not None:
-        n = params.n_revivals
-    else:
-        # revivals inside the sampled window
-        n = max(0, int(math.floor(spec.omega * config.t_end / math.pi + 0.5)))
     revivals = cat_oscillator.revival_times(spec, n)
     files.append(
         _write_data(config, "revivals", "revival-times", ["t_revival"], revivals.reshape(-1, 1))

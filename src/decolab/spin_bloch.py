@@ -20,13 +20,15 @@ import numpy as np
 
 from .core import NATURAL, PhysicalConstants, StateInvariantError, fail_closed, float_map, require_finite
 
+_DENSITY_TOL = 1e-8  # trace, hermiticity and eigenvalue bound of check_density_matrix
+
 
 @dataclass(frozen=True)
 class SpinBathSpec:
     """Damping rate gamma, level splitting omega, bath temperature.
 
-    g_n and mu0 (g-factor and magneton) are only needed when converting
-    polarization to magnetization and may be left unset otherwise.
+    g_n and mu0 (g-factor and magneton) only give the saturation
+    magnetization m0 written to equilibrium.txt, and may be left unset.
     """
 
     gamma: float
@@ -74,19 +76,6 @@ def relaxation_times(spec: SpinBathSpec, constants: PhysicalConstants = NATURAL)
     return t1, 2.0 * t1
 
 
-def bloch_rhs(spec: SpinBathSpec, state, constants: PhysicalConstants = NATURAL) -> np.ndarray:
-    """Right side (dP_x, dP_y, dP_z)/dt of the damped Bloch equations."""
-    p = np.asarray(state, dtype=float)
-    if p.shape != (3,):
-        raise ValueError(f"state must have shape (3,), got {p.shape}")
-    rate = spec.gamma * (2.0 * nbar(spec.omega, spec.temperature, constants) + 1.0)
-    return np.array([
-        -0.5 * rate * p[0],
-        -0.5 * rate * p[1],
-        -rate * p[2] - spec.gamma,
-    ])
-
-
 @fail_closed
 def bloch_evolve(spec: SpinBathSpec, initial, t, constants: PhysicalConstants = NATURAL) -> np.ndarray:
     """Closed-form polarization at time t from the given initial vector.
@@ -118,36 +107,31 @@ def bloch_evolve(spec: SpinBathSpec, initial, t, constants: PhysicalConstants = 
     ], axis=-1)
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    trace_tol: float = 1e-12,
-    herm_tol: float = 1e-12,
-    eigen_tol: float = 1e-10,
-) -> None:
+def check_density_matrix(rho: np.ndarray) -> None:
     """Raise StateInvariantError unless rho is a valid 2x2 density matrix.
 
     rho may also be a stack of shape (..., 2, 2), such as a trajectory;
-    then every matrix in it must pass.  Checks unit trace, hermiticity, and
-    that both eigenvalues lie in [-eigen_tol, 1 + eigen_tol] (closed form
-    for a 2x2 Hermitian matrix; no linear-algebra machinery needed).  Each
-    bound is tested as `not (deviation <= tol)`, so a NaN fails it.
+    then every matrix in it must pass.  Checks, each to within 1e-8, unit
+    trace, hermiticity, and that both eigenvalues lie in [0, 1] (closed
+    form for a 2x2 Hermitian matrix; no linear-algebra machinery needed).
+    Each deviation is tested as `not (deviation <= 1e-8)`, so a NaN fails it.
     """
     rho = np.asarray(rho)
     if rho.shape[-2:] != (2, 2):
         raise StateInvariantError(f"density matrix must be 2x2, got shape {rho.shape}")
     a, b, c, d = rho[..., 0, 0], rho[..., 0, 1], rho[..., 1, 0], rho[..., 1, 1]
     trace_dev = np.max(np.abs(a + d - 1.0))
-    if not trace_dev <= trace_tol:
+    if not trace_dev <= _DENSITY_TOL:
         raise StateInvariantError(f"trace deviates from 1 by {trace_dev:.3e}")
     herm = np.max([
         np.max(np.abs(b - np.conj(c))), np.max(np.abs(a.imag)), np.max(np.abs(d.imag))
     ])
-    if not herm <= herm_tol:
+    if not herm <= _DENSITY_TOL:
         raise StateInvariantError(f"hermiticity violated by {herm:.3e}")
     mean = 0.5 * (a.real + d.real)
     radius = np.sqrt((0.5 * (a.real - d.real)) ** 2 + np.abs(b) ** 2)
     lo, hi = np.min(mean - radius), np.max(mean + radius)
-    if not (lo >= -eigen_tol and hi <= 1.0 + eigen_tol):
+    if not (lo >= -_DENSITY_TOL and hi <= 1.0 + _DENSITY_TOL):
         raise StateInvariantError(
             f"eigenvalues [{lo:.6g}, {hi:.6g}] outside [0, 1] beyond tolerance"
         )
@@ -177,40 +161,9 @@ def density_from_polarization(state) -> np.ndarray:
     return rho
 
 
-def polarization_from_density(rho: np.ndarray) -> np.ndarray:
-    """Extract (P_x, P_y, P_z); validates the density-matrix invariants first."""
-    rho = np.asarray(rho, dtype=complex)
-    check_density_matrix(rho)
-    return np.array([
-        float((rho[1, 0] + rho[0, 1]).real),
-        float((rho[1, 0] - rho[0, 1]).imag),
-        float((rho[0, 0] - rho[1, 1]).real),
-    ])
-
-
-def magnetization(spec: SpinBathSpec, state, constants: PhysicalConstants = NATURAL) -> tuple[float, float]:
-    """(M_z, M_perp) from <M> = -mu0 (g_n / 2) P.
-
-    M_perp is the magnitude of the transverse pair, so it inherits the
-    pure T2 exponential; M_z carries the sign of the operative convention
-    (positive P_z means magnetization against the field for g_n > 0).
-    Requires g_n and mu0 on the bath spec; intended for CGS parameter sets.
-    """
-    _require_magnetic(spec)
-    p = np.asarray(state, dtype=float)
-    if p.shape != (3,):
-        raise ValueError(f"state must have shape (3,), got {p.shape}")
-    scale = spec.mu0 * spec.g_n / 2.0
-    return -scale * p[2], scale * math.hypot(p[0], p[1])
-
-
-def _require_magnetic(spec: SpinBathSpec) -> None:
+def saturation_magnetization(spec: SpinBathSpec, constants: PhysicalConstants = NATURAL) -> float:
+    """Equilibrium M_z reached from any initial state: -mu0 (g_n/2) P0."""
     missing = [name for name in ("g_n", "mu0") if getattr(spec, name) is None]
     if missing:
         raise ValueError(f"magnetization needs magnetic parameters; missing {', '.join(missing)}")
-
-
-def saturation_magnetization(spec: SpinBathSpec, constants: PhysicalConstants = NATURAL) -> float:
-    """Equilibrium M_z reached from any initial state: -mu0 (g_n/2) P0."""
-    _require_magnetic(spec)
     return -spec.mu0 * spec.g_n / 2.0 * equilibrium_polarization(spec, constants)

@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from decolab.core import NATURAL
+from decolab.spin_bloch import nbar
+
 
 def read_table(path) -> np.ndarray:
     """Load a delimited-text table back into a float array."""
@@ -29,3 +32,11 @@ def reference_table_text(meta: dict, columns: list, rows, fmt: str) -> str:
         lines += [f"columns = {','.join(columns)}", f"rows = {len(cells)}", "[data]"]
         lines += [f"r{i} = {cell}" for i, cell in enumerate(cells)]
     return "\n".join(lines) + "\n"
+
+
+def bloch_rhs(spec, state, constants=NATURAL) -> np.ndarray:
+    """(dP_x, dP_y, dP_z)/dt of the damped Bloch equations in spin_bloch's
+    docstring: the rate equations the closed form and RK4 are held to."""
+    p = np.asarray(state, dtype=float)
+    rate = spec.gamma * (2.0 * nbar(spec.omega, spec.temperature, constants) + 1.0)
+    return np.array([-0.5 * rate * p[0], -0.5 * rate * p[1], -rate * p[2] - spec.gamma])

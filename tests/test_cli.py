@@ -487,6 +487,30 @@ class TestErrorExits:
         assert err.endswith("error: quadrature exhausted its budget of 50 evaluations\n")
         assert not (tmp_path / "out" / "report.txt").exists()
 
+    def test_revival_count_past_the_cap_is_a_config_error(self, tmp_path, capsys):
+        # end omega / pi = 6.4e7 revivals in the window; refused before any file
+        cfg = write_cfg(tmp_path, OSC_CFG.replace("end = 10.0", "end = 1e8"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: end = 1e+08 and omega = 2 hold 63661977 revivals, "
+            "above the cap of 10000000; set n_revivals\n"
+        )
+        assert list(out.iterdir()) == []
+
+    def test_lindblad_step_budget_is_an_error_exit(self, tmp_path, capsys):
+        # about 1.6e9 RK4 steps at min(T1, end)/400: refused before the first
+        text = (pathlib.Path(__file__).parent.parent / "configs" / "spin.cfg").read_text()
+        cfg = write_cfg(tmp_path, text.replace("end = 4.0", "end = 1e6"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), "--verify"]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: t_end = 1e\+06 in steps of dt = \S+ takes \S+ RK4 steps, "
+            r"above the budget of 1000000\n", err
+        ), err
+        assert not (out / "report.txt").exists()
+
     def test_compare_regimes_rejects_spin(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SPIN_CFG)
         assert main(["compare-regimes", cfg]) == 2

@@ -293,14 +293,19 @@ class TestRejections:
     @pytest.mark.parametrize("section, key, anchor", [
         ("time", "samples", "end = 2.0"),
         ("free-cat", "x_samples", "regime = free"),
+        ("free-cat", "snapshots", "regime = free"),
+        ("oscillator-cat", "n_revivals", "d = 1.5"),
     ])
     def test_sample_counts_are_capped(self, section, key, anchor):
         # refused at the boundary, naming section, key and value; the cap
-        # itself still parses
+        # itself still parses (and is not run: each count sizes an array)
         assert MAX_SAMPLES == 10 ** 7
-        cfg(FREE_MINIMAL.replace(anchor, f"{anchor}\n{key} = {MAX_SAMPLES}"))
+        base = FREE_MINIMAL
+        if section == "oscillator-cat":
+            base = OSCILLATOR_MINIMAL + "temperature = 1.0\n"
+        cfg(base.replace(anchor, f"{anchor}\n{key} = {MAX_SAMPLES}"))
         self.reject(
-            FREE_MINIMAL.replace(anchor, f"{anchor}\n{key} = 10000001"),
+            base.replace(anchor, f"{anchor}\n{key} = 10000001"),
             re.escape(f"[{section}] {key} = '10000001' exceeds the cap of 10000000"),
         )
 

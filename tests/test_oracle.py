@@ -28,12 +28,12 @@ from decolab.runner import lindblad_bloch_deviation
 from decolab.spin_bloch import (
     SpinBathSpec,
     bloch_evolve,
-    bloch_rhs,
     density_from_polarization,
     equilibrium_polarization,
     nbar,
     relaxation_times,
 )
+from helpers import bloch_rhs
 
 SPIN = SpinBathSpec(gamma=1.0, omega=1.0, temperature=1.0 / (2.0 * math.log(3.0)))
 
@@ -408,6 +408,16 @@ class TestLindbladIntegration:
         with pytest.raises(StateInvariantError, match="trace"):
             integrate_lindblad(SPIN, rho0, 10.0, 1e-3)
         assert runs == []
+
+    def test_step_budget_fails_before_any_step(self, monkeypatch):
+        # 10^7 steps would peak at about 1.7 GB
+        runs = count_runs(monkeypatch)
+        rho0 = density_from_polarization([0.2, 0.0, 0.1])
+        message = "t_end = 1 in steps of dt = 1e-07 takes 1e+07 RK4 steps, above the budget of 1000000"
+        with pytest.raises(ConvergenceError, match=re.escape(message)):
+            integrate_lindblad(SPIN, rho0, 1.0, 1e-7)
+        assert runs == []
+        assert oracle.STEP_BUDGET == 10**6
 
     def test_nan_in_rho0_fails_the_check(self):
         rho0 = density_from_polarization([0.2, 0.0, 0.1])

@@ -11,16 +11,14 @@ from decolab.core import CGS, NATURAL, StateInvariantError
 from decolab.spin_bloch import (
     SpinBathSpec,
     bloch_evolve,
-    bloch_rhs,
     check_density_matrix,
     density_from_polarization,
     equilibrium_polarization,
-    magnetization,
     nbar,
-    polarization_from_density,
     relaxation_times,
     saturation_magnetization,
 )
+from helpers import bloch_rhs
 
 # hbar w / k T = 2 ln 3 puts the bath occupation at exactly 1/8
 T_EIGHTH = 1.0 / (2.0 * math.log(3.0))
@@ -56,7 +54,7 @@ class TestSpinBathSpec:
         # constructing with only g_n is fine; asking for magnetization is not
         spec = SpinBathSpec(gamma=1.0, omega=1.0, temperature=1.0, g_n=2.0)
         with pytest.raises(ValueError, match="mu0"):
-            magnetization(spec, [0.0, 0.0, 0.1])
+            saturation_magnetization(spec)
 
 
 class TestOccupation:
@@ -134,10 +132,6 @@ class TestBlochDynamics:
         p_eq = np.array([0.0, 0.0, equilibrium_polarization(spec)])
         rhs = bloch_rhs(spec, p_eq)
         assert np.max(np.abs(rhs)) < 1e-14
-
-    def test_rhs_shape_validation(self):
-        with pytest.raises(ValueError):
-            bloch_rhs(eighth_spec(), [0.0, 0.0])
 
     def test_relaxation_from_depolarized(self):
         value = bloch_evolve(eighth_spec(), [0.0, 0.0, 0.0], 0.8)
@@ -226,24 +220,6 @@ class TestDensityMatrixMap:
         with pytest.raises(StateInvariantError):
             density_from_polarization([[0.1, 0.0, 0.0], [0.0, 0.0, math.nan]])
 
-    @given(
-        px=st.floats(-0.57, 0.57),
-        py=st.floats(-0.57, 0.57),
-        pz=st.floats(-0.57, 0.57),
-    )
-    def test_round_trip(self, px, py, pz):
-        p = np.array([px, py, pz])
-        back = polarization_from_density(density_from_polarization(p))
-        np.testing.assert_allclose(back, p, rtol=0, atol=1e-12)
-
-    def test_polarization_validates_input(self):
-        with pytest.raises(StateInvariantError):
-            polarization_from_density(np.array([[0.9, 0.0], [0.0, 0.2]]))  # trace 1.1
-        with pytest.raises(StateInvariantError):
-            polarization_from_density(np.array([[0.5, 0.3], [0.0, 0.5]]))  # not hermitian
-        with pytest.raises(StateInvariantError):
-            polarization_from_density(np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative weight
-
     def test_pure_state_on_sphere_passes(self):
         p = np.array([0.6, 0.0, 0.8])  # unit length
         check_density_matrix(density_from_polarization(p))
@@ -283,41 +259,47 @@ class TestDensityMatrixCheck:
         with pytest.raises(StateInvariantError):
             check_density_matrix(np.eye(3))
 
+    @pytest.mark.parametrize("broken, message", [
+        (lambda e: [[0.5 + e, 0.0], [0.0, 0.5]], "trace deviates"),
+        (lambda e: [[0.5, e], [0.0, 0.5]], "hermiticity violated"),
+        (lambda e: [[1.0 + e, 0.0], [0.0, -e]], "eigenvalues"),
+    ], ids=["trace", "hermiticity", "eigenvalues"])
+    def test_one_bound_for_every_invariant(self, broken, message):
+        # each invariant is held to 1e-8: half of it passes, twice it fails
+        check_density_matrix(np.array(broken(5e-9), dtype=complex))
+        with pytest.raises(StateInvariantError, match=message):
+            check_density_matrix(np.array(broken(2e-8), dtype=complex))
+
 
 class TestMagnetization:
     def magnetic_spec(self):
         return eighth_spec(g_n=2.0, mu0=3.0)
 
     def test_requires_magnetic_parameters(self):
-        with pytest.raises(ValueError):
-            magnetization(eighth_spec(), [0.0, 0.0, 0.5])
+        with pytest.raises(ValueError, match="missing g_n, mu0$"):
+            saturation_magnetization(eighth_spec())
 
     def test_zero_polarization(self):
-        mz, mperp = magnetization(self.magnetic_spec(), [0.0, 0.0, 0.0])
-        assert mz == 0.0 and mperp == 0.0
+        # kT = 1e8 hbar omega leaves P0 = -5e-9, and M0 = -mu0 (g_n/2) P0 = 1.5e-8
+        spec = SpinBathSpec(gamma=1.0, omega=1.0, temperature=1e8, g_n=2.0, mu0=3.0)
+        assert abs(saturation_magnetization(spec)) < 3.0 * 1e-8
 
     def test_signs_and_magnitudes(self):
-        spec = self.magnetic_spec()
-        mz, mperp = magnetization(spec, [0.3, -0.4, -0.5])
-        assert mz == pytest.approx(3.0 * 0.5, rel=1e-14)  # -mu0 (g/2) P_z
-        assert mperp == pytest.approx(3.0 * 0.5, rel=1e-14)  # mu0 (g/2) |P_perp|
-
-    def test_transverse_decay_rate(self):
-        spec = self.magnetic_spec()
-        _, t2 = relaxation_times(spec)
-        p0 = np.array([0.5, 0.2, 0.0])
-        _, m_start = magnetization(spec, p0)
-        _, m_later = magnetization(spec, bloch_evolve(spec, p0, 2.0 * t2))
-        assert m_later / m_start == pytest.approx(math.exp(-2.0), rel=1e-12)
+        # -mu0 (g/2) P0: along the field for g_n > 0, against it for g_n < 0
+        assert saturation_magnetization(self.magnetic_spec()) > 0.0
+        flipped = saturation_magnetization(eighth_spec(g_n=-2.0, mu0=3.0))
+        assert flipped == -saturation_magnetization(self.magnetic_spec())
+        assert saturation_magnetization(eighth_spec(g_n=1.0, mu0=0.5)) == pytest.approx(
+            0.5 * 0.5 * 0.8, rel=1e-14
+        )
 
     def test_saturation_value(self):
         spec = self.magnetic_spec()
         msat = saturation_magnetization(spec)
         assert msat == pytest.approx(3.0 * 0.8, rel=1e-13)  # positive for P0 < 0
-        # late-time longitudinal magnetization approaches the saturation value
+        # late-time longitudinal magnetization -mu0 (g_n/2) P_z approaches it
         late = bloch_evolve(spec, [0.0, 0.0, 0.0], 40.0)
-        mz, _ = magnetization(spec, late)
-        assert mz == pytest.approx(msat, rel=1e-12)
+        assert -spec.mu0 * spec.g_n / 2.0 * late[2] == pytest.approx(msat, rel=1e-12)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -325,9 +307,7 @@ class TestMagnetization:
     (lambda: nbar(1.0, -1.0), "temperature must be non-negative, got -1.0"),
     (lambda: bloch_evolve(eighth_spec(), [0.0, 0.0], 1.0), "initial must have shape (3,), got (2,)"),
     (lambda: density_from_polarization([0.0, 0.0]), "state must have shape (3,) or (..., 3), got (2,)"),
-    (lambda: magnetization(eighth_spec(g_n=2.0, mu0=3.0), [[0.0, 0.0, 0.5]]),
-     "state must have shape (3,), got (1, 3)"),
-], ids=["nbar-omega", "nbar-temperature", "bloch-initial", "density-state", "magnetization-state"])
+], ids=["nbar-omega", "nbar-temperature", "bloch-initial", "density-state"])
 def test_refusal_names_the_bad_value(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
