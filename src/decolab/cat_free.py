@@ -623,3 +623,29 @@ def attenuation_decoupled_high_t(
     return float_map(
         math.exp, log_attenuation_decoupled_high_t(spec, zeta, temperature, t, constants)
     )
+
+
+class Regime(NamedTuple):
+    """A free-cat regime: the bath keys it reads, and either the
+    kinematics(cat, bath, constants) of its whole density or, where it
+    defines only the fringe attenuation, its law log_attenuation(cat, bath,
+    t, constants).  A regime that reads temperature needs it positive; one
+    that reads zeta couples to the bath and needs gamma or zeta."""
+
+    reads: tuple[str, ...]
+    kinematics: Callable | None = None
+    log_attenuation: Callable | None = None
+
+
+# the lambdas look each law up when called, so a patched module attribute is the one run
+REGIMES = {
+    "free": Regime((), kinematics=lambda cat, bath, constants: free_kinematics(cat.mass, constants)),
+    "ohmic-high-t": Regime(("temperature", "gamma"), kinematics=lambda cat, bath, constants: (
+        ohmic_high_t_kinematics(cat.mass, bath.temperature, bath.gamma, constants))),
+    "low-t": Regime(("gamma", "zeta"), log_attenuation=lambda cat, bath, t, constants: (
+        log_attenuation_low_t(cat, bath.zeta_for(cat.mass), t, constants))),
+    "decoupled-high-t": Regime(
+        ("temperature", "gamma", "zeta"),
+        log_attenuation=lambda cat, bath, t, constants: log_attenuation_decoupled_high_t(
+            cat, bath.zeta_for(cat.mass), bath.temperature, t, constants)),
+}

@@ -15,12 +15,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import ClassVar
 
-from .core import CGS, NATURAL, CatSpec, ConfigError, PhysicalConstants, ReservoirSpec
+from .core import UNIT_SYSTEMS, CatSpec, ConfigError, PhysicalConstants, ReservoirSpec
+from .cat_free import REGIMES
 from .cat_oscillator import OscillatorSpec
 from .output import FORMATS
 from .spin_bloch import SpinBathSpec
-
-REGIMES = ("free", "ohmic-high-t", "low-t", "decoupled-high-t")
 
 # cap on every count that sizes an array (samples, x_samples, snapshots,
 # n_revivals): a typo such as an extra zero fails at parse time instead of
@@ -46,25 +45,18 @@ class FreeCatParams:
             sigma=sec.get_float("sigma", required=True),
             d=sec.get_float("d", required=True),
         )
-        regime = sec.get_str("regime", required=True, choices=REGIMES)
-
-        needs_temperature = regime in ("ohmic-high-t", "decoupled-high-t")
-        needs_coupling = regime in ("low-t", "decoupled-high-t")
-        uses = {
-            "temperature": needs_temperature,
-            "gamma": needs_coupling or regime == "ohmic-high-t",
-            "zeta": needs_coupling,
-        }
-        for key, used in uses.items():
-            if sec.has(key) and not used:
+        regime = sec.get_str("regime", required=True, choices=tuple(REGIMES))
+        reads = REGIMES[regime].reads
+        for key in ("temperature", "gamma", "zeta"):
+            if sec.has(key) and key not in reads:
                 raise ConfigError(f"[{sec.name}] key {key!r} is not used by regime {regime!r}")
 
-        temperature = sec.get_float("temperature", default=0.0) if needs_temperature else 0.0
-        if needs_temperature and temperature <= 0:
+        temperature = sec.get_float("temperature", default=0.0)
+        if "temperature" in reads and temperature <= 0:
             raise ConfigError(f"[{sec.name}] regime {regime!r} needs a positive temperature")
         gamma = sec.get_float("gamma", default=0.0)
         zeta = sec.get_float("zeta")
-        if needs_coupling and gamma == 0.0 and zeta is None:
+        if "zeta" in reads and gamma == 0.0 and zeta is None:
             raise ConfigError(f"[{sec.name}] regime {regime!r} needs gamma or zeta")
 
         x_min = sec.get_float("x_min")
@@ -162,7 +154,7 @@ class RunConfig:
 
     @property
     def constants(self) -> PhysicalConstants:
-        return NATURAL if self.unit_system == "natural" else CGS
+        return UNIT_SYSTEMS[self.unit_system]
 
     def __post_init__(self):
         if not (0.0 <= self.t_start < self.t_end):
@@ -173,8 +165,9 @@ class RunConfig:
             raise ConfigError(f"samples must be at least 2, got {self.n_samples}")
         if self.fmt not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.fmt!r}")
-        if self.unit_system not in ("natural", "cgs"):
-            raise ConfigError(f"unit_system must be 'natural' or 'cgs', got {self.unit_system!r}")
+        if self.unit_system not in UNIT_SYSTEMS:
+            names = " or ".join(map(repr, UNIT_SYSTEMS))
+            raise ConfigError(f"unit_system must be {names}, got {self.unit_system!r}")
 
     def with_overrides(self, verify=None, output_dir=None, fmt=None) -> "RunConfig":
         """Apply the command-line overrides that were given (not None) without
@@ -290,12 +283,12 @@ def parse_config(text: str) -> RunConfig:
 
     run = _Section("run", cp["run"])
     mode = run.get_str("mode", required=True, choices=tuple(MODES))
-    unit_system = run.get_str("unit_system", default="natural", choices=("natural", "cgs"))
+    unit_system = run.get_str("unit_system", default="natural", choices=tuple(UNIT_SYSTEMS))
     verify = run.get_bool("verify", default=False)
     fmt = run.get_str("format", default="delimited-text", choices=FORMATS)
     output_dir = run.get_str("output_dir", default="out")
     run.reject_leftovers()
-    constants = NATURAL if unit_system == "natural" else CGS
+    constants = UNIT_SYSTEMS[unit_system]
 
     if "time" not in cp:
         raise ConfigError("missing required [time] section")

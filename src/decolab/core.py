@@ -89,6 +89,7 @@ class PhysicalConstants:
 
 NATURAL = PhysicalConstants.natural()
 CGS = PhysicalConstants.cgs()
+UNIT_SYSTEMS = {"natural": NATURAL, "cgs": CGS}  # a config's unit_system names one
 
 
 @dataclass(frozen=True)

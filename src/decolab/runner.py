@@ -37,6 +37,7 @@ REVIVAL_TOL = 1e-15
 MINIMUM_TOL = 1e-12
 LINDBLAD_TOL = 1e-6
 QUADRATURE_TOL = 1e-9
+GAP_BLOCK = 8192  # states per block of lindblad_bloch_deviation
 
 
 @dataclass
@@ -93,29 +94,6 @@ def _write_data(config: RunConfig, stem: str, kind: str, columns: list, rows, **
     return name
 
 
-def _kinematics_for(params, constants):
-    """Reservoir kinematics for regimes that define the full density, else None."""
-    if params.regime == "free":
-        return cat_free.free_kinematics(params.cat.mass, constants)
-    if params.regime == "ohmic-high-t":
-        return cat_free.ohmic_high_t_kinematics(
-            params.cat.mass, params.reservoir.temperature, params.reservoir.gamma, constants
-        )
-    return None
-
-
-def _log_attenuation_curve(params, kin, constants, times):
-    """log a(t) on the time grid, by the regime's closed form."""
-    if kin is not None:
-        return cat_free.log_attenuation_exact(params.cat, kin, times)
-    zeta = params.reservoir.zeta_for(params.cat.mass)
-    if params.regime == "low-t":
-        return cat_free.log_attenuation_low_t(params.cat, zeta, times, constants)
-    return cat_free.log_attenuation_decoupled_high_t(
-        params.cat, zeta, params.reservoir.temperature, times, constants
-    )
-
-
 def _snapshot_grid(params, w2: float) -> np.ndarray:
     if params.x_min is not None:
         return np.linspace(params.x_min, params.x_max, params.x_samples)
@@ -127,8 +105,13 @@ def _run_free_cat(config: RunConfig):
     constants = config.constants
     times = _time_grid(config)
 
-    kin = _kinematics_for(params, constants)
-    log_curve = _log_attenuation_curve(params, kin, constants, times)
+    regime = cat_free.REGIMES[params.regime]
+    kin = None
+    if regime.kinematics is not None:
+        kin = regime.kinematics(params.cat, params.reservoir, constants)
+        log_curve = cat_free.log_attenuation_exact(params.cat, kin, times)
+    else:
+        log_curve = regime.log_attenuation(params.cat, params.reservoir, times, constants)
     curve = float_map(math.exp, log_curve)  # as the attenuation laws do
     files = [_write_data(config, "attenuation", "attenuation-curve", ["t", "a"],
                          np.column_stack([times, curve]), regime=params.regime)]
@@ -223,15 +206,19 @@ def lindblad_bloch_deviation(
 ) -> float:
     """Max entrywise gap between the integrated master equation and the
     closed-form Bloch solution, over every recorded sample (NaN if any
-    gap is NaN)."""
+    gap is NaN).  The closed form is built and compared GAP_BLOCK states
+    at a time, so beside the trajectory it costs one block, not its length."""
     p0 = np.asarray(initial_polarization, dtype=float)
     rho0 = spin_bloch.density_from_polarization(p0)
     traj = oracle.integrate_lindblad(spec, rho0, t_end, dt, constants)
-    gap = spin_bloch.density_from_polarization(
-        spin_bloch.bloch_evolve(spec, p0, traj.times, constants)
-    )
-    gap -= traj.states  # in place: no third (N, 2, 2) array
-    return float(np.max(np.abs(gap)))
+    block_maxima = []
+    for i in range(0, len(traj.times), GAP_BLOCK):
+        gap = spin_bloch.density_from_polarization(
+            spin_bloch.bloch_evolve(spec, p0, traj.times[i:i + GAP_BLOCK], constants)
+        )
+        gap -= traj.states[i:i + GAP_BLOCK]  # in place: no third block array
+        block_maxima.append(np.max(np.abs(gap)))
+    return float(np.max(block_maxima))  # np.max keeps a NaN, where Python's max can drop it
 
 
 def field_checks(spec: CatSpec, kin, times) -> list:

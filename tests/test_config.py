@@ -7,6 +7,7 @@ import textwrap
 
 import pytest
 
+from decolab.cat_free import REGIMES
 from decolab.config import (
     MAX_SAMPLES,
     FreeCatParams,
@@ -444,6 +445,44 @@ class TestRejections:
             FREE_MINIMAL.replace("mode = free-cat", "mode = free-cat\nformat = yaml"),
             "format",
         )
+
+
+# the bath keys each free-cat regime reads, in the order the regime
+# refusal lists the regimes; the values given for them parse as valid
+READS = {
+    "free": (),
+    "ohmic-high-t": ("temperature", "gamma"),
+    "low-t": ("gamma", "zeta"),
+    "decoupled-high-t": ("temperature", "gamma", "zeta"),
+}
+BATH_VALUES = {"temperature": 2.0, "gamma": 0.25, "zeta": 0.5}
+
+
+class TestRegimeTable:
+    def test_rows_in_order(self):
+        assert tuple(REGIMES) == tuple(READS)
+        with pytest.raises(ConfigError, match=re.escape(
+            "[free-cat] regime = 'hot'; expected one of "
+            "('free', 'ohmic-high-t', 'low-t', 'decoupled-high-t')"
+        )):
+            cfg(FREE_MINIMAL.replace("regime = free", "regime = hot"))
+
+    @pytest.mark.parametrize("regime", READS)
+    @pytest.mark.parametrize("key", BATH_VALUES)
+    def test_each_bath_key_is_read_or_refused(self, regime, key):
+        # the keys the regime reads make a valid section; the key under test
+        # is added to it, so a refusal can only be about that key
+        given = dict.fromkeys(READS[regime] + (key,))
+        lines = "".join(f"\n{k} = {BATH_VALUES[k]}" for k in given)
+        text = FREE_MINIMAL.replace("regime = free", f"regime = {regime}{lines}")
+        if key not in READS[regime]:
+            with pytest.raises(ConfigError, match=re.escape(
+                f"[free-cat] key {key!r} is not used by regime {regime!r}"
+            )):
+                cfg(text)
+            return
+        reservoir = cfg(text).params.reservoir
+        assert getattr(reservoir, key) == BATH_VALUES[key]
 
 
 class TestLoadConfig:

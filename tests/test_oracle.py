@@ -4,6 +4,7 @@ import ast
 import math
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,6 +447,42 @@ class TestLindbladIntegration:
             for t, rho in zip(traj.times, traj.states)
         ]
         assert lindblad_bloch_deviation(SPIN, p0, 2.0 * t1, t1 / 50.0) == max(per_sample)
+
+    def test_deviation_does_not_depend_on_the_block_size(self, monkeypatch):
+        t1, _ = relaxation_times(SPIN)
+        args = (SPIN, [0.4, 0.2, -0.3], 2.0 * t1, t1 / 50.0)
+        whole = lindblad_bloch_deviation(*args)  # 101 states: one block
+        monkeypatch.setattr(runner, "GAP_BLOCK", 7)
+        assert lindblad_bloch_deviation(*args) == whole
+
+    def test_deviation_keeps_a_nan_in_any_block(self, monkeypatch):
+        t1, _ = relaxation_times(SPIN)
+        p0 = [0.4, 0.2, -0.3]
+        traj = integrate_lindblad(SPIN, density_from_polarization(p0), 2.0 * t1, t1 / 50.0)
+        traj.states[30, 0, 1] = complex(math.nan, 0.0)  # in the fifth block of 7 states
+        monkeypatch.setattr(oracle, "integrate_lindblad", lambda *args: traj)
+        monkeypatch.setattr(runner, "GAP_BLOCK", 7)
+        assert math.isnan(lindblad_bloch_deviation(SPIN, p0, 2.0 * t1, t1 / 50.0))
+
+    def test_deviation_peaks_where_the_trajectory_does(self):
+        # the closed form is compared block by block, so checking 20,000 RK4
+        # steps costs no more memory than integrating them
+        t1, _ = relaxation_times(SPIN)
+        p0 = [0.4, 0.2, -0.3]
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bare = traced_peak(
+            lambda: integrate_lindblad(SPIN, density_from_polarization(p0), 50.0 * t1, t1 / 400.0)
+        )
+        checked = traced_peak(lambda: lindblad_bloch_deviation(SPIN, p0, 50.0 * t1, t1 / 400.0))
+        assert checked <= 1.05 * bare, (checked, bare)
 
     def test_reckless_step_fails_the_check(self):
         t1, _ = relaxation_times(SPIN)
