@@ -199,19 +199,24 @@ def _kinematics_at(kin: ReservoirKinematics, sigma: float, t):
     """c(t), s(t) and w^2(t) for a float or an array of t.
 
     Raises RegimeBreakdownError if sigma^2 underflows to 0, then for the
-    first t where w^2 is not positive (NaN included) or s is negative,
-    before any warning; then warns once if any t lies outside the validity
-    window.  Past sigma^2, only user-supplied kinematics fail these tests.
+    first t where w^2 is not positive (NaN included) or overflows, or s is
+    negative, before any warning; then warns once if any t lies outside the
+    validity window.  An overflow on the way to w^2 leaves it non-finite
+    and raises no numpy warning.  Past sigma^2, the built-in kinematics
+    fail these tests only by overflow.
     """
     if not sigma * sigma > 0.0:
         raise RegimeBreakdownError(f"packet width sigma = {sigma:g} underflows to 0 when squared")
-    c = kin.c(t)
-    s = kin.s(t)
-    w2 = sigma * sigma + (c * c) / (4.0 * sigma * sigma) + s
-    broken = np.ravel(~(np.asarray(w2) > 0.0) | (np.asarray(s) < 0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = kin.c(t)
+        s = kin.s(t)
+        w2 = sigma * sigma + (c * c) / (4.0 * sigma * sigma) + s
+    broken = np.ravel(~(np.isfinite(w2) & (np.asarray(w2) > 0.0)) | (np.asarray(s) < 0))
     if broken.any():
         i = int(np.argmax(broken))
         t_i, s_i, w2_i = (float(np.ravel(v)[i]) for v in (t, s, w2))
+        if w2_i == math.inf:
+            raise RegimeBreakdownError(f"packet variance w^2 overflows to inf at t = {t_i:g}")
         if not w2_i > 0.0:
             raise RegimeBreakdownError(f"packet variance w^2 = {w2_i:g} is not positive at t = {t_i:g}")
         raise RegimeBreakdownError(f"mean-square displacement s = {s_i:g} is negative at t = {t_i:g}")

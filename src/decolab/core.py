@@ -111,6 +111,8 @@ class CatSpec:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.d < 0:
             raise ValueError(f"separation d must be non-negative, got {self.d}")
+        if self.d * self.d == math.inf:
+            raise ValueError(f"separation d = {self.d:g} overflows when squared")
 
 
 @dataclass(frozen=True)

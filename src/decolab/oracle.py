@@ -8,7 +8,7 @@ share no code, and one link remains: the master equation's rates read
 selftest's `detailed_balance` holds those rates to exp(-hbar omega/kT),
 computed without `nbar`; `check_density_matrix`, the other import from
 `spin_bloch`, bounds states and computes no law.  The quadrature stops at
-EVALUATION_BUDGET evaluations and the master equation at STEP_BUDGET steps.
+EVALUATION_BUDGET evaluations and RK4 at STEP_BUDGET steps.
 
 The raw two-level master equation is driven by its own RK4 loop on Python
 floats, one recurrence per real component of vec(rho), because numpy call
@@ -20,7 +20,9 @@ and imaginary parts never mix, and each recurrence rounds exactly as
 """
 
 import functools
+import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -30,7 +32,7 @@ from .core import NATURAL, ConvergenceError, PhysicalConstants
 from .spin_bloch import check_density_matrix, nbar
 
 EVALUATION_BUDGET = 10_000_000
-STEP_BUDGET = 1_000_000  # RK4 steps one integrate_lindblad call may take
+STEP_BUDGET = 1_000_000  # RK4 steps one integrator call may take
 
 # ladder operators in the basis where the upper level is index 0
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -143,18 +145,30 @@ class Trajectory:
     states: np.ndarray
 
 
-def _check_step(t_end: float, dt: float) -> None:
+def _step_plan(t_end: float, dt: float) -> tuple[int, tuple, np.ndarray]:
+    """RK4's steps to t_end, (n, tail, times): n steps of dt, then in `tail`
+    a short step t_end - t if t is still below t_end less 1e-12 max(t_end, 1),
+    the margin for round-off in the sum.  times are 0 and t after each step,
+    summed left to right by np.cumsum, so each equals `t += h` bit for bit.
+    A horizon of more than STEP_BUDGET steps raises ConvergenceError before
+    any array is built."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_end < 0:
         raise ValueError(f"t_end must be non-negative, got {t_end}")
     if t_end > 0 and dt > t_end:
         raise ValueError(f"dt = {dt} exceeds t_end = {t_end}")
-
-
-def _stop_time(t_end: float) -> float:
-    """Steps continue while t is below this; absorbs round-off in sum(h)."""
-    return t_end - 1e-12 * max(t_end, 1.0)
+    if t_end / dt > STEP_BUDGET:
+        raise ConvergenceError(
+            f"t_end = {t_end:g} in steps of dt = {dt:g} takes {t_end / dt:.4g} RK4 steps, "
+            f"above the budget of {STEP_BUDGET}"
+        )
+    stop = t_end - 1e-12 * max(t_end, 1.0)
+    times = np.cumsum(np.concatenate(([0.0], np.full(int(t_end / dt) + 2, dt))))
+    n = np.count_nonzero((times < stop) & (t_end - times >= dt))  # steps of min(dt, t_end - t)
+    tail = (t_end - float(times[n]),) if times[n] < stop else ()
+    times[n + 1:n + 1 + len(tail)] = [times[n] + h for h in tail]
+    return n, tail, times[:n + 1 + len(tail)]
 
 
 def integrate_rk4(
@@ -176,27 +190,20 @@ def integrate_rk4(
     initial : array-like
         State at t = 0.
     t_end, dt : float
-        Integration horizon and step; a shorter final step covers any
-        remainder when dt does not divide t_end.
+        Integration horizon and step; `_step_plan` sets the steps, at most
+        STEP_BUDGET of them.
     """
-    _check_step(t_end, dt)
+    n, tail, times = _step_plan(t_end, dt)
     y = np.array(initial, dtype=complex if np.iscomplexobj(initial) else float)
-
-    times = [0.0]
     states = [y.copy()]
-    t = 0.0
-    stop = _stop_time(t_end)
-    while t < stop:
-        h = min(dt, t_end - t)
+    for t, h in zip(times.tolist(), itertools.chain(itertools.repeat(dt, n), tail)):
         k1 = rhs(t, y)
         k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
         k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
         k4 = rhs(t + h, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        times.append(t)
         states.append(y.copy())
-    return Trajectory(times=np.array(times), states=np.array(states))
+    return Trajectory(times=times, states=np.array(states))
 
 
 def _superoperator(jump: np.ndarray) -> np.ndarray:
@@ -235,9 +242,9 @@ def _lindblad_coefficients() -> tuple[float, ...]:
     return _kernel_coefficients(_superoperator(SIGMA_MINUS), _superoperator(SIGMA_PLUS))
 
 
-def _population_run(y0: float, y3: float, d: float, u: float, steps) -> tuple[list, list]:
+def _population_run(y0: float, y3: float, d: float, u: float, steps) -> tuple[np.ndarray, np.ndarray]:
     """RK4 on a real part of (rho00, rho11): row 0 is d*y0 + u*y3, row 3 minus it."""
-    out0, out3 = [y0], [y3]
+    out0, out3 = array("d", [y0]), array("d", [y3])
     for h, half, sixth in steps:
         p = d * y0 + u * y3
         q = d * (y0 + half * p) + u * (y3 - half * p)
@@ -247,12 +254,12 @@ def _population_run(y0: float, y3: float, d: float, u: float, steps) -> tuple[li
         y0, y3 = y0 + k, y3 - k
         out0.append(y0)
         out3.append(y3)
-    return out0, out3
+    return np.frombuffer(out0), np.frombuffer(out3)
 
 
-def _coherence_run(y: float, d: float, u: float, steps) -> list:
+def _coherence_run(y: float, d: float, u: float, steps) -> np.ndarray:
     """RK4 on one real component of a coherence, whose row is d*y + u*y."""
-    out = [y]
+    out = array("d", [y])
     for h, half, sixth in steps:
         p = d * y + u * y
         v = y + half * p
@@ -262,7 +269,7 @@ def _coherence_run(y: float, d: float, u: float, steps) -> list:
         v = y + h * r
         y = y + sixth * (((p + 2.0 * q) + 2.0 * r) + (d * v + u * v))
         out.append(y)
-    return out
+    return np.frombuffer(out)
 
 
 def integrate_lindblad(
@@ -285,42 +292,33 @@ def integrate_lindblad(
     stays zero, and the map is odd, so only each distinct nonzero
     (|start|, rates) is stepped.  rho0 and then every state are held to
     `check_density_matrix`'s bound (1e-8).  A horizon that needs more than
-    STEP_BUDGET (10^6) steps raises ConvergenceError before any list is
-    built; a trajectory peaks at about 170 bytes per step.
+    STEP_BUDGET (10^6) steps raises ConvergenceError (`_step_plan`); a
+    trajectory peaks at about 105 bytes per step.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (2, 2):
         raise ValueError(f"rho0 must be 2x2, got shape {rho0.shape}")
-    _check_step(t_end, dt)
-    if t_end / dt > STEP_BUDGET:
-        raise ConvergenceError(
-            f"t_end = {t_end:g} in steps of dt = {dt:g} takes {t_end / dt:.4g} RK4 steps, "
-            f"above the budget of {STEP_BUDGET}"
-        )
+    n, tail, times = _step_plan(t_end, dt)
     check_density_matrix(rho0)
     down, up = _rates(spec, constants)
     d0, u0, d1, u1, d2, u2 = (c * r for c, r in zip(_lindblad_coefficients(), (down, up) * 3))
+    full, last = (dt, 0.5 * dt, dt / 6.0), [(h, 0.5 * h, h / 6.0) for h in tail]
 
-    full = (dt, 0.5 * dt, dt / 6.0)
-    steps, times = [], [0.0]
-    t, stop = 0.0, _stop_time(t_end)
-    while t < stop:
-        h = dt if t_end - t >= dt else t_end - t  # min(dt, t_end - t), without the call
-        steps.append(full if h == dt else (h, 0.5 * h, h / 6.0))
-        t += h
-        times.append(t)
+    def steps():
+        return itertools.chain(itertools.repeat(full, n), last)
 
     states = np.zeros((len(times), 4), dtype=complex)  # vec(rho) of each state
     runs = {}
     for part, start in ((states.real, rho0.real.ravel()), (states.imag, rho0.imag.ravel())):
         y0, y1, y2, y3 = start.tolist()
         if y0 or y3:
-            part[:, 0], part[:, 3] = _population_run(y0, y3, d0, u0, steps)
+            part[:, 0], part[:, 3] = _population_run(y0, y3, d0, u0, steps())
         for column, y, d, u in ((1, y1, d1, u1), (2, y2, d2, u2)):
             if y:
                 if (key := (abs(y), d, u)) not in runs:
-                    runs[key] = np.array(_coherence_run(abs(y), d, u, steps))
+                    runs[key] = _coherence_run(abs(y), d, u, steps())
                 part[:, column] = runs[key] if y > 0 else -runs[key]
     states = states.reshape(-1, 2, 2)
+    del runs  # copied into states: freed before the check's temporaries
     check_density_matrix(states)
-    return Trajectory(times=np.array(times), states=states)
+    return Trajectory(times=times, states=states)

@@ -37,7 +37,7 @@ REVIVAL_TOL = 1e-15
 MINIMUM_TOL = 1e-12
 LINDBLAD_TOL = 1e-6
 QUADRATURE_TOL = 1e-9
-GAP_BLOCK = 8192  # states per block of lindblad_bloch_deviation
+GAP_BLOCK = 2048  # states per block of lindblad_bloch_deviation
 
 
 @dataclass

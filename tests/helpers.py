@@ -40,3 +40,16 @@ def bloch_rhs(spec, state, constants=NATURAL) -> np.ndarray:
     p = np.asarray(state, dtype=float)
     rate = spec.gamma * (2.0 * nbar(spec.omega, spec.temperature, constants) + 1.0)
     return np.array([-0.5 * rate * p[0], -0.5 * rate * p[1], -rate * p[2] - spec.gamma])
+
+
+def reference_steps(t_end: float, dt: float) -> tuple[list, list]:
+    """(step sizes, times) of the loop RK4 once stepped with, kept as the
+    reference for oracle._step_plan."""
+    steps, times = [], [0.0]
+    t, stop = 0.0, t_end - 1e-12 * max(t_end, 1.0)
+    while t < stop:
+        h = min(dt, t_end - t)
+        t += h
+        steps.append(h)
+        times.append(t)
+    return steps, times

@@ -159,6 +159,15 @@ class TestPacketVariance:
         with pytest.raises(RegimeBreakdownError):
             packet_variance(bad, 1.0, 1.0)
 
+    @pytest.mark.parametrize("t, first", [(1.0, "1"), (np.array([0.0, 0.5, 1.0]), "0.5")],
+                             ids=["float", "array"])
+    def test_breakdown_on_overflowing_variance(self, t, first):
+        # c = 1e300 t squares past the float range; no numpy warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RegimeBreakdownError, match=rf"^packet variance w\^2 overflows to inf at t = {first}$"):
+                packet_variance(free_kinematics(mass=1e-300), 1.0, t)
+
 
 class TestSinglePacket:
     def test_peak_value(self):
@@ -589,6 +598,7 @@ class TestDefaultGrid:
     (lambda: packet_variance(free_kinematics(1.0), 0.0, 1.0), "sigma must be positive, got 0.0"),
     (lambda: normalization_constant(-1.0, 1.0), "sigma must be positive, got -1.0"),
     (lambda: normalization_constant(1.0, -2.0), "separation d must be non-negative, got -2.0"),
+    (lambda: CatSpec(1.0, 1.0, 1e200), "separation d = 1e+200 overflows when squared"),
     (lambda: high_t_decoherence_time(CatSpec(1.0, 1.0, 1.0), 0.0), "temperature must be positive, got 0.0"),
     (lambda: high_t_decoherence_time(CatSpec(1.0, 1.0, 0.0), 1.0), "undefined for zero separation"),
     (lambda: low_t_time_constant(CatSpec(1.0, 1.0, 1.0), 0.0), "zeta must be positive, got 0.0"),
@@ -599,7 +609,7 @@ class TestDefaultGrid:
      "temperature must be positive, got 0.0"),
 ], ids=[
     "validity", "free-mass", "ohmic-mass", "ohmic-temperature", "ohmic-gamma", "table-size",
-    "table-shapes", "variance-sigma", "norm-sigma", "norm-d", "tau-d-temperature", "tau-d-separation",
+    "table-shapes", "variance-sigma", "norm-sigma", "norm-d", "spec-d", "tau-d-temperature", "tau-d-separation",
     "tau-0-zeta", "tau-0-separation", "decoupled-zeta", "decoupled-temperature",
 ])
 def test_refusal_names_the_bad_value(call, message):

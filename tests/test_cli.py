@@ -120,6 +120,9 @@ UNDERFLOW_CFG = """
 """
 
 
+OVERFLOWING_W2 = "packet variance w^2 overflows to inf at t = 0.111111"
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(text))
@@ -478,6 +481,23 @@ class TestErrorExits:
         assert "status = pass" in (out / "report.txt").read_text()
         assert main(["run", write_cfg(tmp_path, UNDERFLOW_CFG, "bad.cfg"), "--out", str(out)]) == 2
         assert not (out / "report.txt").exists()
+
+    @pytest.mark.parametrize("cat, message", [
+        # c = t / mass: c^2 overflows, so w^2 = inf from the second sample on
+        ("mass = 1e-300\nsigma = 1\nd = 2", "error: " + OVERFLOWING_W2),
+        # sigma^2 is subnormal, so c^2 / 4 sigma^2 overflows
+        ("mass = 1\nsigma = 1e-160\nd = 2", "error: " + OVERFLOWING_W2),
+        ("mass = 1\nsigma = 1\nd = 1e200",
+         "config error: [free-cat] separation d = 1e+200 overflows when squared"),
+    ], ids=["mass", "sigma", "d"])
+    @pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["plain", "verify"])
+    def test_overflowing_cat_fails_before_any_file(self, tmp_path, capsys, cat, message, verify):
+        text = "[run]\nmode = free-cat\n[time]\nend = 1\nsamples = 10\n[free-cat]\n"
+        cfg = write_cfg(tmp_path, text + cat + "\nregime = free\nsnapshots = 2\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), *verify]) == 2
+        assert capsys.readouterr().err == message + "\n"  # no numpy warning before it
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_exhausted_quadrature_budget_is_an_error_exit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(runner_mod.oracle, "EVALUATION_BUDGET", 50)

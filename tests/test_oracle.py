@@ -19,6 +19,7 @@ from decolab.oracle import (
     SIGMA_PLUS,
     Trajectory,
     _kernel_coefficients,
+    _step_plan,
     _superoperator,
     integrate_adaptive,
     integrate_lindblad,
@@ -34,7 +35,7 @@ from decolab.spin_bloch import (
     nbar,
     relaxation_times,
 )
-from helpers import bloch_rhs
+from helpers import bloch_rhs, reference_steps
 
 SPIN = SpinBathSpec(gamma=1.0, omega=1.0, temperature=1.0 / (2.0 * math.log(3.0)))
 
@@ -245,6 +246,54 @@ class TestRK4:
         np.testing.assert_allclose(traj.states[-1], final, rtol=0, atol=1e-6)
 
 
+def assert_plan_matches_reference(t_end, dt):
+    n, tail, times = _step_plan(t_end, dt)
+    steps, reference_times = reference_steps(t_end, dt)
+    assert np.array([dt] * n + list(tail)).tobytes() == np.array(steps).tobytes()
+    assert times.tobytes() == np.array(reference_times).tobytes()
+    return n, tail
+
+
+class TestStepPlan:
+    """The plan both integrators step by, held to the loop it replaced."""
+
+    @pytest.mark.parametrize("t_end, dt, full, short", [
+        (3.0, 0.375, 8, False),          # dt divides t_end exactly
+        (1.0, 0.1, 10, False),           # the tenth sum of 0.1 falls short of 1 by an ulp
+        (1.0 + 1e-13, 0.25, 4, False),   # remainder below the 1e-12 margin, t_end > 1
+        (0.5 + 1e-13, 0.125, 4, False),  # the same below 1, where the margin is absolute
+        (0.3, 0.07, 4, True),            # t_end < 1 with a short final step
+        (7.3, 0.7, 10, True),            # t_end > 1 with a short final step
+        (2.5, 2.5, 1, False),            # dt == t_end
+        (0.0, 0.1, 0, False),            # t_end = 0: the start alone
+    ])
+    def test_fixed_cases(self, t_end, dt, full, short):
+        n, tail = assert_plan_matches_reference(t_end, dt)
+        assert (n, len(tail)) == (full, int(short))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        t_end=st.floats(1e-9, 1e6),
+        per_step=st.one_of(st.integers(1, 3000).map(float), st.floats(1.0, 3000.0)),
+    )
+    def test_matches_the_reference_loop(self, t_end, per_step):
+        assert_plan_matches_reference(t_end, t_end / per_step)
+
+    def test_rk4_refuses_a_horizon_past_the_budget(self):
+        calls = []
+        message = "takes 1e+07 RK4 steps, above the budget of 1000000"
+        with pytest.raises(ConvergenceError, match=re.escape(message)):
+            integrate_rk4(lambda t, y: calls.append(t) or -y, np.array([1.0]), 1.0, 1e-7)
+        assert calls == []
+
+    def test_both_integrators_take_the_planned_times(self):
+        _, reference_times = reference_steps(1.0, 0.3)
+        rk4 = integrate_rk4(lambda t, y: -y, np.array([1.0]), 1.0, 0.3)
+        lindblad = integrate_lindblad(SPIN, density_from_polarization([0.2, 0.1, 0.3]), 1.0, 0.3)
+        for traj in (rk4, lindblad):
+            assert traj.times.tobytes() == np.array(reference_times).tobytes()
+
+
 def assert_matches_raw_generator(spec, rho0, t_end, dt):
     # reference: generic RK4 on the literal 2x2 generator, one call per stage
     fast = integrate_lindblad(spec, rho0, t_end, dt)
@@ -411,7 +460,7 @@ class TestLindbladIntegration:
         assert runs == []
 
     def test_step_budget_fails_before_any_step(self, monkeypatch):
-        # 10^7 steps would peak at about 1.7 GB
+        # 10^7 steps would peak at about 1.05 GB
         runs = count_runs(monkeypatch)
         rho0 = density_from_polarization([0.2, 0.0, 0.1])
         message = "t_end = 1 in steps of dt = 1e-07 takes 1e+07 RK4 steps, above the budget of 1000000"
@@ -527,6 +576,22 @@ class TestLindbladIntegration:
         assert isinstance(traj, Trajectory)
         assert traj.states.shape == (5, 2, 2)
         assert traj.times[0] == 0.0
+
+
+def test_integration_peaks_near_what_it_returns():
+    # the trajectory holds 72 bytes per step (complex states and times); the
+    # runs' float buffers and the density check's temporaries come on top
+    t1, _ = relaxation_times(SPIN)
+    rho0 = density_from_polarization([0.4, 0.2, -0.3])
+    tracemalloc.start()
+    try:
+        traj = integrate_lindblad(SPIN, rho0, 50.0 * t1, t1 / 400.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    steps = traj.times.size - 1
+    assert steps == 20_000
+    assert peak <= 120 * steps, peak / steps
 
 
 @pytest.mark.parametrize("call, message", [

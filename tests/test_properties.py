@@ -1,7 +1,8 @@
 """Property tests: every public law over any finite spec and finite times.
 
-For a spec its record accepts and finite times, each law gives a finite
-result of the input's shape, or raises a ValueError subclass.  One call
+For any finite spec fields and finite times, each law gives a finite
+result of the input's shape, or the spec's record or the law raises a
+ValueError subclass.  One call
 issues at most one RegimeValidityWarning per cause, a per-time cause
 ("t = <value> <cause>") counting once whatever its t.
 
@@ -39,7 +40,9 @@ CONSTANTS = st.sampled_from([NATURAL, CGS])
 TIMES = st.one_of(FINITE, hnp.arrays(
     np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5), elements=FINITE,
 ))
-CATS = st.builds(CatSpec, mass=POSITIVE, sigma=POSITIVE, d=NON_NEGATIVE)
+# (mass, sigma, d): CatSpec is built inside the checked call, where a
+# refused record counts as a refusal
+CATS = st.tuples(POSITIVE, POSITIVE, NON_NEGATIVE)
 BALL = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda p: sum(v * v for v in p) <= 1.0)
 
 PER_TIME = re.compile(r"^t = \S+ ")
@@ -67,40 +70,42 @@ def assert_law_holds(call, t, row_shape=()):
 
 @EXAMPLES
 @given(CATS, st.booleans(), NON_NEGATIVE, POSITIVE, CONSTANTS, TIMES)
-@example(CatSpec(1.0, 4.441326964328356e-187, 0.0), False, 0.0, 1.0, NATURAL, 0.0)
-@example(CatSpec(1.0, 1.0, 1.3407807929942597e154), False, 0.0, 1.0, NATURAL, 0.0)
-@example(CatSpec(1.0, 1.0, 0.0), True, 5e-324, 1.0, CGS, 0.0)
+@example((1.0, 4.441326964328356e-187, 0.0), False, 0.0, 1.0, NATURAL, 0.0)
+@example((1.0, 1.0, 1.3407807929942597e154), False, 0.0, 1.0, NATURAL, 0.0)
+@example((1.0, 1.0, 0.0), True, 5e-324, 1.0, CGS, 0.0)
 def test_exact_law(cat, ohmic, gamma, temperature, constants, t):
     def kinematics():
         if ohmic:
-            return ohmic_high_t_kinematics(cat.mass, temperature, gamma, constants)
-        return free_kinematics(cat.mass, constants)
+            return ohmic_high_t_kinematics(cat[0], temperature, gamma, constants)
+        return free_kinematics(cat[0], constants)
 
-    assert_law_holds(lambda: attenuation_exact(cat, kinematics(), t), t)
-    assert_law_holds(lambda: log_attenuation_exact(cat, kinematics(), t), t)
+    assert_law_holds(lambda: attenuation_exact(CatSpec(*cat), kinematics(), t), t)
+    assert_law_holds(lambda: log_attenuation_exact(CatSpec(*cat), kinematics(), t), t)
 
 
 @EXAMPLES
 @given(CATS, POSITIVE, CONSTANTS, TIMES)
-@example(CatSpec(1.0, 2.0762912235997632e-67, 30235.0), 45643460.0, NATURAL, 8003501996602.0)
+@example((1.0, 2.0762912235997632e-67, 30235.0), 45643460.0, NATURAL, 8003501996602.0)
 def test_high_t_law(cat, temperature, constants, t):
-    assert_law_holds(lambda: attenuation_high_t(cat, temperature, t, constants), t)
+    assert_law_holds(lambda: attenuation_high_t(CatSpec(*cat), temperature, t, constants), t)
 
 
 @EXAMPLES
 @given(CATS, POSITIVE, CONSTANTS, TIMES)
-@example(CatSpec(1.0, 1.0, 1.0), 2.2250738585e-313, CGS, 1.0)
+@example((1.0, 1.0, 1.0), 2.2250738585e-313, CGS, 1.0)
 def test_low_t_law(cat, zeta, constants, t):
-    assert_law_holds(lambda: float_map(math.exp, log_attenuation_low_t(cat, zeta, t, constants)), t)
+    assert_law_holds(
+        lambda: float_map(math.exp, log_attenuation_low_t(CatSpec(*cat), zeta, t, constants)), t
+    )
 
 
 @EXAMPLES
 @given(CATS, NON_NEGATIVE, POSITIVE, CONSTANTS, TIMES)
-@example(CatSpec(1.0, 4.636780679012277e-110, 0.0), 1.0, 1.0, NATURAL, 0.0)
-@example(CatSpec(1.0, 1.157920892373162e77, 0.0), 1.0, 1.0, NATURAL, 0.0)
+@example((1.0, 4.636780679012277e-110, 0.0), 1.0, 1.0, NATURAL, 0.0)
+@example((1.0, 1.157920892373162e77, 0.0), 1.0, 1.0, NATURAL, 0.0)
 def test_decoupled_law(cat, zeta, temperature, constants, t):
     assert_law_holds(
-        lambda: attenuation_decoupled_high_t(cat, zeta, temperature, t, constants), t
+        lambda: attenuation_decoupled_high_t(CatSpec(*cat), zeta, temperature, t, constants), t
     )
 
 
