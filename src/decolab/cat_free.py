@@ -40,6 +40,8 @@ from .core import (
     classicality_ratio,
     fail_closed,
     float_map,
+    require_non_negative,
+    require_positive,
     thermal_de_broglie,
     warn_regime,
 )
@@ -115,8 +117,7 @@ def _interpolator(times: np.ndarray, values: np.ndarray):
 
 def free_kinematics(mass: float, constants: PhysicalConstants = NATURAL) -> ReservoirKinematics:
     """Isolated particle: c(t) = hbar t / m, s(t) = 0."""
-    if mass <= 0:
-        raise ValueError(f"mass must be positive, got {mass}")
+    require_positive("mass", mass)
     hbar_over_m = constants.hbar / mass
     return ReservoirKinematics(
         c=lambda t: hbar_over_m * t,
@@ -138,12 +139,9 @@ def ohmic_high_t_kinematics(
     s(t) = (k T / m) t^2.  Derived for k T >> hbar gamma and t << 1/gamma,
     so the validity window ends at 1/gamma (gamma = 0 leaves it unbounded).
     """
-    if mass <= 0:
-        raise ValueError(f"mass must be positive, got {mass}")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    if gamma < 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
+    require_positive("mass", mass)
+    require_positive("temperature", temperature)
+    require_non_negative("gamma", gamma)
     if gamma > 0 and classicality_ratio(temperature, gamma, constants) < _SCALE_SEPARATION:
         warn_regime(
             f"kT/(hbar gamma) = {classicality_ratio(temperature, gamma, constants):.3g} "
@@ -226,15 +224,13 @@ def _kinematics_at(kin: ReservoirKinematics, sigma: float, t):
 
 def packet_variance(kin: ReservoirKinematics, sigma: float, t: float | np.ndarray):
     """Spread packet variance w^2(t) = sigma^2 + c(t)^2 / 4 sigma^2 + s(t)."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    require_positive("sigma", sigma)
     return _kinematics_at(kin, sigma, t)[2]
 
 
 def single_packet_prob(w2: float, x):
     """Normalized Gaussian density (2 pi w^2)^(-1/2) exp(-x^2 / 2 w^2)."""
-    if w2 <= 0:
-        raise ValueError(f"variance must be positive, got {w2}")
+    require_positive("variance", w2)
     x = np.asarray(x, dtype=float)
     out = np.exp(-x * x / (2.0 * w2)) / math.sqrt(2.0 * math.pi * w2)
     return out if out.ndim else float(out)
@@ -246,10 +242,8 @@ def normalization_constant(sigma: float, d: float) -> float:
     Approaches 1/2 for fully overlapping packets (d = 0) and 1/sqrt(2)
     for well-separated ones.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if d < 0:
-        raise ValueError(f"separation d must be non-negative, got {d}")
+    require_positive("sigma", sigma)
+    require_non_negative("separation d", d)
     return 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-d * d / (8.0 * sigma * sigma))))
 
 
@@ -263,11 +257,23 @@ class _CatCoefficients:
 
 
 def _log_attenuation(spec: CatSpec, kin: ReservoirKinematics, t):
-    # c(t), w^2(t) and log a(t) = -s d^2 / 8 sigma^2 w^2
+    # c(t), w^2(t) and log a(t) = -s d^2 / 8 sigma^2 w^2.  Where s d^2 or
+    # 8 sigma^2 w^2 overflows, log a is -(s/w^2) d^2 / sigma^2 / 8 instead:
+    # the same law, whose partial products stay in range while log a does,
+    # as s <= w^2.  An underflowed 8 sigma^2 w^2 still leaves log a
+    # non-finite for the law's fail-closed check, with no numpy warning
     sigma2 = spec.sigma * spec.sigma
     c, s, w2 = _kinematics_at(kin, spec.sigma, t)
     d2 = spec.d * spec.d
-    return c, w2, -s * d2 / (8.0 * sigma2 * w2)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        num = -s * d2
+        den = 8.0 * sigma2 * w2
+        log_a = num / den
+        overflowed = ~(np.isfinite(num) & np.isfinite(den))
+        if overflowed.any():
+            rescaled = -(s / w2) * d2 / sigma2 / 8.0
+            log_a = np.where(overflowed, rescaled, log_a) if np.ndim(log_a) else rescaled
+    return c, w2, log_a
 
 
 def _coefficients(spec: CatSpec, kin: ReservoirKinematics, t: float) -> _CatCoefficients:
@@ -470,8 +476,7 @@ def high_t_decoherence_time(
     Shrinks with separation: doubling d quarters the time the fringes
     survive contact with a high-temperature bath.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    require_positive("temperature", temperature)
     if spec.d == 0:
         raise ValueError("decoherence time is undefined for zero separation")
     vth = math.sqrt(constants.k_boltzmann * temperature / spec.mass)
@@ -533,8 +538,7 @@ def low_t_time_constant(
     spec: CatSpec, zeta: float, constants: PhysicalConstants = NATURAL
 ) -> float:
     """Dissipative time constant tau_0 = (m sigma^2 / d) sqrt(8 pi / hbar zeta)."""
-    if zeta <= 0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
+    require_positive("zeta", zeta)
     if spec.d == 0:
         raise ValueError("time constant is undefined for zero separation")
     return (spec.mass * spec.sigma * spec.sigma / spec.d) * math.sqrt(
@@ -559,8 +563,7 @@ def log_attenuation_low_t(
     values carry a warning (once per call).  An array with any t < 0 or
     t >= m/zeta raises for the first such t, before the warning.
     """
-    if zeta <= 0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
+    require_positive("zeta", zeta)
     if _check_horizon(t, spec.mass / zeta, "low-temperature").size:
         warn_regime(
             "the low-temperature form is derived for t above a short-time "
@@ -588,10 +591,8 @@ def log_attenuation_decoupled_high_t(
     """log a(t) of the decoupled high-temperature law (see
     attenuation_decoupled_high_t), finite where a(t) underflows to 0; same
     warnings and errors."""
-    if zeta < 0:
-        raise ValueError(f"zeta must be non-negative, got {zeta}")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    require_non_negative("zeta", zeta)
+    require_positive("temperature", temperature)
     horizon = spec.mass / zeta if zeta else math.inf
     flat = _check_horizon(t, horizon, "weak-damping")
     _warn_times(

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NATURAL, PhysicalConstants, fail_closed, float_map, require_finite
+from .core import (
+    NATURAL,
+    PhysicalConstants,
+    fail_closed,
+    float_map,
+    require_finite,
+    require_non_negative,
+    require_positive,
+)
 
 
 @dataclass(frozen=True)
@@ -36,12 +44,9 @@ class OscillatorSpec:
 
     def __post_init__(self):
         require_finite(self)
-        if self.mass <= 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.d < 0:
-            raise ValueError(f"separation d must be non-negative, got {self.d}")
+        require_positive("mass", self.mass)
+        require_positive("omega", self.omega)
+        require_non_negative("separation d", self.d)
         if self.temperature <= 0:
             raise ValueError(
                 f"temperature must be positive, got {self.temperature} "
@@ -51,8 +56,7 @@ class OscillatorSpec:
 
 def _inverse_sinh(x: float) -> float:
     # 1/sinh(x) = 2 e^-x / (1 - e^-2x); stable for any x > 0, no overflow
-    if x <= 0:
-        raise ValueError(f"argument must be positive, got {x}")
+    require_positive("hbar omega / kT", x)
     return 2.0 * math.exp(-x) / (-math.expm1(-2.0 * x))
 
 
@@ -88,7 +92,6 @@ def minimum_attenuation(spec: OscillatorSpec, constants: PhysicalConstants = NAT
 
 def revival_times(spec: OscillatorSpec, n_max: int) -> np.ndarray:
     """First n_max times (2n+1) pi / 2 omega at which the fringes fully revive."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be non-negative, got {n_max}")
+    require_non_negative("n_max", n_max)
     quarter_period = math.pi / spec.omega
     return (np.arange(n_max) + 0.5) * quarter_period

@@ -62,6 +62,20 @@ def require_finite(record) -> None:
             raise ValueError(f"{item.name} must be finite, got {value}")
 
 
+def require_positive(name: str, value) -> None:
+    """Raise ValueError "<name> must be positive, got <value>" if value <= 0;
+    a NaN passes, as every comparison with it is False."""
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
+def require_non_negative(name: str, value) -> None:
+    """Raise ValueError "<name> must be non-negative, got <value>" if value < 0;
+    a NaN passes."""
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Unit-system selector carrying hbar and Boltzmann's constant."""
@@ -105,12 +119,9 @@ class CatSpec:
 
     def __post_init__(self):
         require_finite(self)
-        if self.mass <= 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.d < 0:
-            raise ValueError(f"separation d must be non-negative, got {self.d}")
+        require_positive("mass", self.mass)
+        require_positive("sigma", self.sigma)
+        require_non_negative("separation d", self.d)
         if self.d * self.d == math.inf:
             raise ValueError(f"separation d = {self.d:g} overflows when squared")
 
@@ -128,12 +139,10 @@ class ReservoirSpec:
 
     def __post_init__(self):
         require_finite(self)
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be non-negative, got {self.temperature}")
-        if self.zeta is not None and self.zeta < 0:
-            raise ValueError(f"zeta must be non-negative, got {self.zeta}")
+        require_non_negative("gamma", self.gamma)
+        require_non_negative("temperature", self.temperature)
+        if self.zeta is not None:
+            require_non_negative("zeta", self.zeta)
 
     def zeta_for(self, mass: float) -> float:
         """Coupling strength zeta = gamma * mass unless set explicitly."""
@@ -169,10 +178,8 @@ def thermal_de_broglie(mass: float, temperature: float, constants: PhysicalConst
     order 5e-21 cm, which is why macroscopic superpositions lose
     interference essentially instantly.
     """
-    if mass <= 0:
-        raise ValueError(f"mass must be positive, got {mass}")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    require_positive("mass", mass)
+    require_positive("temperature", temperature)
     return constants.hbar / math.sqrt(mass * constants.k_boltzmann * temperature)
 
 
@@ -185,10 +192,8 @@ def classicality_ratio(temperature: float, gamma: float, constants: PhysicalCons
     exactly; in CGS, k/hbar is about 1.31e11 per second per kelvin, so
     quick estimates that round this to 1e11 are ~30% low.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    require_positive("temperature", temperature)
+    require_positive("gamma", gamma)
     return constants.k_boltzmann * temperature / (constants.hbar * gamma)
 
 

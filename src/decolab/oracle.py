@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import NATURAL, ConvergenceError, PhysicalConstants
+from .core import NATURAL, ConvergenceError, PhysicalConstants, require_non_negative, require_positive
 from .spin_bloch import check_density_matrix, nbar
 
 EVALUATION_BUDGET = 10_000_000
@@ -64,8 +64,7 @@ def integrate_adaptive(
     """
     if not b > a:
         raise ValueError(f"need b > a, got [{a}, {b}]")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    require_positive("tolerance", tol)
     exhausted = f"quadrature exhausted its budget of {EVALUATION_BUDGET} evaluations"
     evals = 3
     if evals > EVALUATION_BUDGET:
@@ -152,10 +151,8 @@ def _step_plan(t_end: float, dt: float) -> tuple[int, tuple, np.ndarray]:
     summed left to right by np.cumsum, so each equals `t += h` bit for bit.
     A horizon of more than STEP_BUDGET steps raises ConvergenceError before
     any array is built."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_end < 0:
-        raise ValueError(f"t_end must be non-negative, got {t_end}")
+    require_positive("dt", dt)
+    require_non_negative("t_end", t_end)
     if t_end > 0 and dt > t_end:
         raise ValueError(f"dt = {dt} exceeds t_end = {t_end}")
     if t_end / dt > STEP_BUDGET:

@@ -253,13 +253,15 @@ def _run_oscillator(config: RunConfig):
     if params.n_revivals is not None:
         n = params.n_revivals
     else:
-        # revivals inside the sampled window
-        n = max(0, int(math.floor(spec.omega * config.t_end / math.pi + 0.5)))
-        if n > MAX_SAMPLES:
+        # revivals inside the sampled window, capped while still a float:
+        # omega * end may overflow to inf
+        count = np.floor(spec.omega * config.t_end / math.pi + 0.5)
+        if count > MAX_SAMPLES:
             raise ConfigError(
-                f"end = {config.t_end:g} and omega = {spec.omega:g} hold {n} revivals, "
+                f"end = {config.t_end:g} and omega = {spec.omega:g} hold {count:.0f} revivals, "
                 f"above the cap of {MAX_SAMPLES}; set n_revivals"
             )
+        n = int(count)
     times = _time_grid(config)
 
     curve = cat_oscillator.attenuation_oscillator(spec, times, constants)

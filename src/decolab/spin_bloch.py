@@ -18,7 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NATURAL, PhysicalConstants, StateInvariantError, fail_closed, float_map, require_finite
+from .core import (
+    NATURAL,
+    PhysicalConstants,
+    StateInvariantError,
+    fail_closed,
+    float_map,
+    require_finite,
+    require_non_negative,
+    require_positive,
+)
 
 _DENSITY_TOL = 1e-8  # trace, hermiticity and eigenvalue bound of check_density_matrix
 
@@ -39,20 +48,15 @@ class SpinBathSpec:
 
     def __post_init__(self):
         require_finite(self)
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be non-negative, got {self.temperature}")
+        require_positive("gamma", self.gamma)
+        require_positive("omega", self.omega)
+        require_non_negative("temperature", self.temperature)
 
 
 def nbar(omega: float, temperature: float, constants: PhysicalConstants = NATURAL) -> float:
     """Thermal occupation [exp(hbar omega / k T) - 1]^-1; exactly 0 at T = 0."""
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    if temperature < 0:
-        raise ValueError(f"temperature must be non-negative, got {temperature}")
+    require_positive("omega", omega)
+    require_non_negative("temperature", temperature)
     if temperature == 0.0:
         return 0.0
     x = constants.hbar * omega / (constants.k_boltzmann * temperature)

@@ -126,7 +126,7 @@ class TestCriterion2:
 
     @pytest.mark.xfail(
         raises=AssertionError, strict=True,
-        reason="a depth-2 Simpson panel much wider than w passes by chance (ROADMAP item 5)",
+        reason="a depth-2 Simpson panel much wider than w passes by chance (ROADMAP item 4)",
     )
     def test_c2_term_invariance_on_a_wide_snapshot_sweep(self):
         # `perfbench/run.py --workload scaled --seed 107`'s snapshot config: the

@@ -360,6 +360,25 @@ class TestAttenuationExact:
             a = attenuation_exact(spec, kin, rng.uniform(0.0, 2.0))
             assert 0.0 < a <= 1.0
 
+    @pytest.mark.parametrize("sigma, d, times", [
+        (1.0, 1e100, [0.0, 0.1, 0.5]),  # s d^2 overflows
+        (1e154, 1e154, [0.0, 1.0, 10.0]),  # 8 sigma^2 w^2 overflows
+    ], ids=["numerator", "denominator"])
+    def test_log_form_stays_in_range_where_its_product_overflows(self, sigma, d, times):
+        # log a = -(s/w^2) d^2 / 8 sigma^2 is finite there; the float and the
+        # array path agree, and no numpy warning leaks
+        spec = CatSpec(mass=1.0, sigma=sigma, d=d)
+        kin = ohmic_high_t_kinematics(1.0, 1e300, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = log_attenuation_exact(spec, kin, np.array(times))
+            pointwise = [log_attenuation_exact(spec, kin, t) for t in times]
+        assert all(type(value) is float for value in pointwise)
+        assert curve.tolist() == pointwise
+        for t, value in zip(times, pointwise):
+            s, w2 = 1e300 * t * t, sigma * sigma + t * t / (4.0 * sigma * sigma) + 1e300 * t * t
+            assert value == pytest.approx(-(s / w2) * (d / sigma) ** 2 / 8.0, rel=1e-14)
+
     def test_monotone_decay_in_high_t_reservoir(self):
         spec = CatSpec(mass=1.0, sigma=1.0, d=3.0)
         with warnings.catch_warnings():

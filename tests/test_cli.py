@@ -359,6 +359,36 @@ class TestRunCommand:
         assert np.any(read_table(out / "attenuation.csv")[:, 1] == 0.0)
         assert "c0_deviation = 0.0000000000000000e+00" in (out / "report.txt").read_text()
 
+    def test_overflowing_product_in_log_a_verifies(self, tmp_path, capsys):
+        # s d^2 overflows while log a, about -1.25e199, does not: the curve
+        # is written and judged, with no bare numpy warning
+        cfg = write_cfg(
+            tmp_path,
+            """
+            [run]
+            mode = free-cat
+
+            [time]
+            end = 1.5
+            samples = 16
+
+            [free-cat]
+            mass = 1.0
+            sigma = 1.0
+            d = 1e100
+            regime = ohmic-high-t
+            temperature = 1e300
+            gamma = 1
+            snapshots = 0
+            """,
+        )
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--verify", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "encountered in" not in captured.err
+        assert "verify attenuation_bounds: PASS" in captured.out
+        assert np.all(read_table(out / "attenuation.csv")[1:, 1] == 0.0)
+
     def test_underflowed_fringe_with_snapshots_verifies(self, tmp_path, capsys):
         # p1 p2 underflows at every grid point, so the ratio identity is
         # recovered from log-domain terms; the packets, 400 widths apart,
@@ -517,6 +547,24 @@ class TestErrorExits:
             "above the cap of 10000000; set n_revivals\n"
         )
         assert list(out.iterdir()) == []
+
+    def test_revival_count_past_float_range_is_a_config_error(self, tmp_path, capsys):
+        # omega end overflows to inf, which converted to an int escaped as an OverflowError
+        text = OSC_CFG.replace("end = 10.0", "end = 2.0e275").replace("omega = 2.0", "omega = 7.6e152")
+        out = tmp_path / "out"
+        assert main(["run", write_cfg(tmp_path, text), "--verify", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: end = 2e+275 and omega = 7.6e+152 hold inf revivals, "
+            "above the cap of 10000000; set n_revivals\n"
+        )
+        assert list(out.iterdir()) == []
+
+    def test_underflowed_hbar_omega_over_kt_is_named(self, tmp_path, capsys):
+        # hbar omega / kT = 1e-600 underflows to 0 before the decay law divides by its sinh
+        text = OSC_CFG.replace("omega = 2.0", "omega = 1e-300").replace(
+            "temperature = 0.7", "temperature = 1e300")
+        assert main(["run", write_cfg(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: hbar omega / kT must be positive, got 0.0\n"
 
     def test_lindblad_step_budget_is_an_error_exit(self, tmp_path, capsys):
         # about 1.6e9 RK4 steps at min(T1, end)/400: refused before the first

@@ -1,6 +1,7 @@
 """Constants, parameter records, and characteristic scales."""
 
 import math
+import pathlib
 import re
 import tracemalloc
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import decolab
 from decolab.core import (
     CGS,
     HBAR_CGS,
@@ -20,6 +22,8 @@ from decolab.core import (
     classicality_ratio,
     fail_closed,
     float_map,
+    require_non_negative,
+    require_positive,
     thermal_de_broglie,
 )
 from decolab.cat_free import cat_probability, free_kinematics, high_t_decoherence_time, packet_variance
@@ -144,6 +148,41 @@ class TestClassicalityRatio:
             classicality_ratio(0.0, 1.0)
         with pytest.raises(ValueError):
             classicality_ratio(1.0, 0.0)
+
+
+class TestSignRefusals:
+    @pytest.mark.parametrize("require, value, message", [
+        (require_positive, 0.0, "mass must be positive, got 0.0"),
+        (require_positive, -2, "mass must be positive, got -2"),
+        (require_non_negative, -1e-300, "mass must be non-negative, got -1e-300"),
+    ])
+    def test_refusal_names_the_value(self, require, value, message):
+        with pytest.raises(ValueError) as caught:
+            require("mass", value)
+        assert type(caught.value) is ValueError and str(caught.value) == message
+
+    def test_nan_and_the_admitted_values_pass(self):
+        # a NaN fails no comparison; the law's own fail-closed check meets it
+        for value in (math.nan, 5e-324, math.inf):
+            require_positive("x", value)
+        for value in (math.nan, 0.0, -0.0, math.inf):
+            require_non_negative("x", value)
+
+    def test_scalar_sign_refusals_are_written_only_in_core(self):
+        # every other "must be positive|non-negative, got" text carries what
+        # the helpers cannot: a [section] prefix, a first bad element of an
+        # array of t, or the note on the T = 0 limit
+        package = pathlib.Path(decolab.__file__).parent
+        pattern = re.compile(r'f"(\[\{sec\.name\}\] )?([^"]*?) must be (?:positive|non-negative), got \{')
+        sites = sorted(
+            (path.stem, found.group(2))
+            for path in package.glob("*.py") for found in pattern.finditer(path.read_text())
+        )
+        assert sites == [
+            ("cat_free", "t"), ("cat_oscillator", "temperature"),
+            ("config", "hbar_omega_over_kt"), ("config", "n_revivals"), ("config", "snapshots"),
+            ("core", "{name}"), ("core", "{name}"), ("spin_bloch", "t"),
+        ]
 
 
 class TestFailClosed:
