@@ -30,7 +30,6 @@ from .core import (
 )
 from .cat_free import (
     CatField,
-    FieldRatio,
     ReservoirKinematics,
     attenuation_decoupled_high_t,
     attenuation_exact,

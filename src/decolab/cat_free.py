@@ -256,14 +256,13 @@ class _CatCoefficients:
     phase_slope: float        # theta(x) = phase_slope * x
 
 
-def _log_attenuation(spec: CatSpec, kin: ReservoirKinematics, t):
-    # c(t), w^2(t) and log a(t) = -s d^2 / 8 sigma^2 w^2.  Where s d^2 or
+def _log_attenuation(spec: CatSpec, s, w2):
+    # log a(t) = -s d^2 / 8 sigma^2 w^2 from s(t) and w^2(t).  Where s d^2 or
     # 8 sigma^2 w^2 overflows, log a is -(s/w^2) d^2 / sigma^2 / 8 instead:
     # the same law, whose partial products stay in range while log a does,
     # as s <= w^2.  An underflowed 8 sigma^2 w^2 still leaves log a
     # non-finite for the law's fail-closed check, with no numpy warning
     sigma2 = spec.sigma * spec.sigma
-    c, s, w2 = _kinematics_at(kin, spec.sigma, t)
     d2 = spec.d * spec.d
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         num = -s * d2
@@ -273,18 +272,22 @@ def _log_attenuation(spec: CatSpec, kin: ReservoirKinematics, t):
         if overflowed.any():
             rescaled = -(s / w2) * d2 / sigma2 / 8.0
             log_a = np.where(overflowed, rescaled, log_a) if np.ndim(log_a) else rescaled
-    return c, w2, log_a
+    return log_a
 
 
 def _coefficients(spec: CatSpec, kin: ReservoirKinematics, t: float) -> _CatCoefficients:
     sigma2 = spec.sigma * spec.sigma
-    c, w2, log_a = _log_attenuation(spec, kin, t)
+    c, s, w2 = _kinematics_at(kin, spec.sigma, t)
+    if not 4.0 * sigma2 * w2 > 0.0:  # log a and the phase slope divide Python floats by it
+        raise RegimeBreakdownError(
+            f"4 sigma^2 w^2 underflows to 0 at t = {t:g} (sigma = {spec.sigma:g}, w^2 = {w2:g})"
+        )
     d2 = spec.d * spec.d
     n = normalization_constant(spec.sigma, spec.d)
     return _CatCoefficients(
         w2=w2,
         n2=n * n,
-        envelope_factor=math.exp(-d2 / (8.0 * w2)) * math.exp(log_a),
+        envelope_factor=math.exp(-d2 / (8.0 * w2)) * math.exp(_log_attenuation(spec, s, w2)),
         phase_slope=c * spec.d / (4.0 * sigma2 * w2),
     )
 
@@ -301,7 +304,6 @@ class CatField:
     """
 
     x: np.ndarray
-    time: float
     w2: float
     p1: np.ndarray
     p2: np.ndarray
@@ -349,7 +351,7 @@ def cat_probability(
     envelope = coef.n2 * coef.envelope_factor * single_packet_prob(coef.w2, x_grid)
     interference = envelope * np.cos(coef.phase_slope * x_grid)
     return CatField(
-        x=x_grid, time=t, w2=coef.w2,
+        x=x_grid, w2=coef.w2,
         p1=p1, p2=p2, envelope=envelope, interference=interference,
     )
 
@@ -399,7 +401,8 @@ def cat_pointwise(spec: CatSpec, kin: ReservoirKinematics, t: float) -> CatPoint
 @fail_closed
 def log_attenuation_exact(spec: CatSpec, kin: ReservoirKinematics, t: float | np.ndarray):
     """log a(t) = -s(t) d^2 / 8 sigma^2 w^2(t), finite where a(t) underflows to 0."""
-    return _log_attenuation(spec, kin, t)[2]
+    _, s, w2 = _kinematics_at(kin, spec.sigma, t)
+    return _log_attenuation(spec, s, w2)
 
 
 def attenuation_exact(spec: CatSpec, kin: ReservoirKinematics, t: float | np.ndarray):
@@ -411,43 +414,28 @@ def attenuation_exact(spec: CatSpec, kin: ReservoirKinematics, t: float | np.nda
     return float_map(math.exp, log_attenuation_exact(spec, kin, t))
 
 
-class FieldRatio(NamedTuple):
-    """Grid-recovered attenuation: mean ratio, its spread, points used."""
-
-    value: float
-    max_deviation: float
-    n_points: int
-
-    @classmethod
-    def of(cls, ratio: np.ndarray) -> "FieldRatio":
-        """Mean of a pointwise ratio over its grid, and its largest deviation."""
-        value = float(np.mean(ratio))
-        return cls(value, float(np.max(np.abs(ratio - value))), int(ratio.size))
-
-
 def resolvable_overlap(field: CatField) -> np.ndarray:
     """Grid points where p1 * p2 is resolvable, far above the underflow at
     extreme |x| or large separations."""
     return field.p1 * field.p2 > 1e-290
 
 
-def attenuation_from_field(field: CatField) -> FieldRatio:
+def attenuation_from_field(field: CatField) -> float:
     """Recover a(t) from a sampled field as envelope / sqrt(p1 * p2).
 
-    The ratio is independent of x, so it is averaged over the grid and the
-    largest pointwise deviation from the mean is reported.  Points where
-    the product p1 * p2 underflows (extreme |x|) are excluded; with none
-    left, use log_attenuation_from_terms.
+    The ratio is independent of x, so it is averaged over the grid.  Points
+    where the product p1 * p2 underflows (extreme |x|) are excluded; with
+    none left, use log_attenuation_from_terms.
     """
     usable = resolvable_overlap(field)
     if not np.any(usable):
         raise ValueError("no grid points with resolvable packet overlap")
-    return FieldRatio.of(field.envelope[usable] / np.sqrt(field.p1[usable] * field.p2[usable]))
+    return float(np.mean(field.envelope[usable] / np.sqrt(field.p1[usable] * field.p2[usable])))
 
 
 def log_attenuation_from_terms(
     spec: CatSpec, kin: ReservoirKinematics, t: float, x_grid: np.ndarray
-) -> FieldRatio:
+) -> float:
     """Recover log a(t) as log envelope - (log p1 + log p2) / 2 on a grid.
 
     Each term is evaluated in the log domain from the same coefficients as
@@ -455,7 +443,8 @@ def log_attenuation_from_terms(
     at every grid point (a separation of hundreds of widths).  Averaged
     over the grid like attenuation_from_field.
     """
-    _, w2, log_a = _log_attenuation(spec, kin, t)
+    _, s, w2 = _kinematics_at(kin, spec.sigma, t)
+    log_a = _log_attenuation(spec, s, w2)
     n = normalization_constant(spec.sigma, spec.d)
     log_norm = math.log(n * n) - 0.5 * math.log(2.0 * math.pi * w2)
     x = np.asarray(x_grid, dtype=float)
@@ -464,7 +453,7 @@ def log_attenuation_from_terms(
     log_p1 = log_norm - (x - half_d) ** 2 * inv2w2
     log_p2 = log_norm - (x + half_d) ** 2 * inv2w2
     log_envelope = log_norm + (log_a - spec.d * spec.d / (8.0 * w2)) - x * x * inv2w2
-    return FieldRatio.of(log_envelope - 0.5 * (log_p1 + log_p2))
+    return float(np.mean(log_envelope - 0.5 * (log_p1 + log_p2)))
 
 
 @fail_closed
@@ -561,7 +550,8 @@ def log_attenuation_low_t(
     the bracket is negative and a < 1.  The derivation also assumes t above
     a short-time cutoff that is not pinned down quantitatively, so small-t
     values carry a warning (once per call).  An array with any t < 0 or
-    t >= m/zeta raises for the first such t, before the warning.
+    t >= m/zeta raises for the first such t, before the warning.  With
+    d = 0 there is no fringe to lose: log a = 0.
     """
     require_positive("zeta", zeta)
     if _check_horizon(t, spec.mass / zeta, "low-temperature").size:
@@ -572,7 +562,7 @@ def log_attenuation_low_t(
     times = np.asarray(t, dtype=float)
     out = np.zeros(times.shape)  # t = 0 stays 0: t^2 log t -> 0
     moving = times != 0.0
-    if moving.any():
+    if moving.any() and spec.d != 0:
         tau0 = low_t_time_constant(spec, zeta, constants)
         tm = times[moving]
         bracket = float_map(math.log, zeta * tm / spec.mass) + EULER_GAMMA - 1.5

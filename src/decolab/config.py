@@ -32,10 +32,10 @@ class FreeCatParams:
     cat: CatSpec
     reservoir: ReservoirSpec
     regime: str
-    snapshots: int = 5
-    x_min: float | None = None
-    x_max: float | None = None
-    x_samples: int = 2048
+    snapshots: int
+    x_min: float | None
+    x_max: float | None
+    x_samples: int
     mode: ClassVar[str] = "free-cat"
 
     @classmethod
@@ -87,7 +87,7 @@ class FreeCatParams:
 @dataclass(frozen=True)
 class OscillatorParams:
     spec: OscillatorSpec
-    n_revivals: int | None = None
+    n_revivals: int | None
     mode: ClassVar[str] = "oscillator-cat"
 
     @classmethod
@@ -108,7 +108,7 @@ class OscillatorParams:
 @dataclass(frozen=True)
 class SpinParams:
     spec: SpinBathSpec
-    initial: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    initial: tuple[float, float, float]
     mode: ClassVar[str] = "spin"
 
     @classmethod
@@ -139,14 +139,14 @@ MODES = {params.mode: params for params in (FreeCatParams, OscillatorParams, Spi
 @dataclass(frozen=True)
 class RunConfig:
     params: FreeCatParams | OscillatorParams | SpinParams
-    unit_system: str = "natural"
-    verify: bool = False
-    fmt: str = "delimited-text"
-    output_dir: str = "out"
-    t_start: float = 0.0
-    t_end: float = 1.0
-    n_samples: int = 512
-    source_text: str = ""
+    unit_system: str
+    verify: bool
+    fmt: str
+    output_dir: str
+    t_start: float
+    t_end: float
+    n_samples: int
+    source_text: str
 
     @property
     def mode(self) -> str:

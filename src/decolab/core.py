@@ -1,8 +1,10 @@
 """Shared parameter records, unit handling, and characteristic scales.
 
-All formulas in this package are written for either natural units
-(hbar = k_B = 1, the default) or CGS units.  A PhysicalConstants record
-selects between the two; every function that needs hbar or k_B takes one.
+The formulas in this package are unit-blind: every function that needs
+hbar or k_B takes a PhysicalConstants record holding their values.  NATURAL
+(hbar = k_B = 1, the default) and CGS are built here, and UNIT_SYSTEMS
+names them for a config's unit_system; any other system is
+PhysicalConstants(hbar, k_boltzmann).
 """
 
 import functools
@@ -78,31 +80,18 @@ def require_non_negative(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Unit-system selector carrying hbar and Boltzmann's constant."""
+    """The values of hbar and Boltzmann's constant in one unit system."""
 
     hbar: float
     k_boltzmann: float
-    unit_system: str
 
     def __post_init__(self):
-        if self.unit_system not in ("natural", "cgs"):
-            raise ValueError(f"unit_system must be 'natural' or 'cgs', got {self.unit_system!r}")
         if self.hbar <= 0 or self.k_boltzmann <= 0:
             raise ValueError("hbar and k_boltzmann must be positive")
-        if self.unit_system == "natural" and (self.hbar != 1.0 or self.k_boltzmann != 1.0):
-            raise ValueError("natural units require hbar = k_boltzmann = 1")
-
-    @classmethod
-    def natural(cls) -> "PhysicalConstants":
-        return cls(1.0, 1.0, "natural")
-
-    @classmethod
-    def cgs(cls) -> "PhysicalConstants":
-        return cls(HBAR_CGS, KB_CGS, "cgs")
 
 
-NATURAL = PhysicalConstants.natural()
-CGS = PhysicalConstants.cgs()
+NATURAL = PhysicalConstants(1.0, 1.0)
+CGS = PhysicalConstants(HBAR_CGS, KB_CGS)
 UNIT_SYSTEMS = {"natural": NATURAL, "cgs": CGS}  # a config's unit_system names one
 
 

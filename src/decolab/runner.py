@@ -20,7 +20,10 @@ import numpy as np
 
 from . import cat_free, cat_oscillator, oracle, spin_bloch
 from .config import MAX_SAMPLES, FreeCatParams, OscillatorParams, RunConfig, SpinParams
-from .core import NATURAL, CatSpec, Check, ConfigError, PhysicalConstants, float_map, warn_regime
+from .core import (
+    NATURAL, CatSpec, Check, ConfigError, PhysicalConstants, RegimeBreakdownError,
+    float_map, warn_regime,
+)
 from .output import (
     config_hash,
     data_extension,
@@ -192,9 +195,9 @@ def ratio_identity_deviation(spec: CatSpec, kin, t: float) -> float:
     order the same relative gap."""
     field = cat_free.cat_probability(spec, kin, t)
     if not np.any(cat_free.resolvable_overlap(field)):
-        recovered = cat_free.log_attenuation_from_terms(spec, kin, t, field.x).value
+        recovered = cat_free.log_attenuation_from_terms(spec, kin, t, field.x)
         return abs(recovered - cat_free.log_attenuation_exact(spec, kin, t))
-    recovered = cat_free.attenuation_from_field(field).value
+    recovered = cat_free.attenuation_from_field(field)
     exact = cat_free.attenuation_exact(spec, kin, t)
     if exact > 1e-100:
         return abs(recovered - exact) / exact
@@ -229,6 +232,12 @@ def field_checks(spec: CatSpec, kin, times) -> list:
     term_integrals = []  # one row per snapshot: P1, P2 and the interference term
     for t in times:
         pw = cat_free.cat_pointwise(spec, kin, float(t))
+        w = math.sqrt(pw.w2)
+        if spec.d / 2.0 - 10.0 * w == spec.d / 2.0 + 10.0 * w:  # _cat_integral's window
+            raise RegimeBreakdownError(
+                f"packet width w = {w:g} is below the float spacing of d/2 = {spec.d / 2.0:g} at "
+                f"snapshot t = {float(t):g}: the quadrature window d/2 +- 10 w holds one float"
+            )
         norm_devs.append(normalization_deviation(spec, pw))
         term_integrals.append([
             _cat_integral(spec, pw, pw.p1),

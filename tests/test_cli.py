@@ -290,7 +290,7 @@ class TestRunCommand:
         def nan_on_second(field):
             calls.append(field)
             result = original(field)
-            return result._replace(value=math.nan) if len(calls) == 2 else result
+            return math.nan if len(calls) == 2 else result
 
         monkeypatch.setattr(runner_mod.cat_free, "attenuation_from_field", nan_on_second)
         cfg = write_cfg(tmp_path, FREE_CFG)
@@ -358,6 +358,16 @@ class TestRunCommand:
         assert "verify attenuation_bounds: PASS" in capsys.readouterr().out
         assert np.any(read_table(out / "attenuation.csv")[:, 1] == 0.0)
         assert "c0_deviation = 0.0000000000000000e+00" in (out / "report.txt").read_text()
+
+    def test_low_t_cat_without_separation_verifies(self, tmp_path, capsys):
+        # d = 0 has no fringe to lose: a = 1 throughout, where the run
+        # exited 2 on the time constant's zero-separation refusal
+        text = "[run]\nmode = free-cat\n[time]\nend = 0.9\n[free-cat]\n"
+        cfg = write_cfg(tmp_path, text + "mass = 1\nsigma = 1\nd = 0\nregime = low-t\nzeta = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--verify", "--out", str(out)]) == 0
+        assert "verify attenuation_bounds: PASS" in capsys.readouterr().out
+        assert np.all(read_table(out / "attenuation.csv")[:, 1] == 1.0)
 
     def test_overflowing_product_in_log_a_verifies(self, tmp_path, capsys):
         # s d^2 overflows while log a, about -1.25e199, does not: the curve
@@ -528,6 +538,20 @@ class TestErrorExits:
         assert main(["run", cfg, "--out", str(out), *verify]) == 2
         assert capsys.readouterr().err == message + "\n"  # no numpy warning before it
         assert not out.exists() or list(out.iterdir()) == []
+
+    def test_collapsed_quadrature_window_names_the_packet_width(self, tmp_path, capsys):
+        # at t = 0, w = 1 beside d/2 = 5e99: d/2 +- 10 w is one float, which
+        # the quadrature refused as "need b > a", naming no input
+        text = "[run]\nmode = free-cat\n[time]\nend = 1.5\nsamples = 16\n[free-cat]\n"
+        cfg = write_cfg(tmp_path, text + (
+            "mass = 1\nsigma = 1\nd = 1e100\nregime = ohmic-high-t\n"
+            "temperature = 1e300\ngamma = 1\nsnapshots = 3\n"))
+        assert main(["run", cfg, "--verify", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "need b > a" not in err
+        assert err.splitlines()[-1] == (
+            "error: packet width w = 1 is below the float spacing of d/2 = 5e+99 at "
+            "snapshot t = 0: the quadrature window d/2 +- 10 w holds one float")
 
     def test_exhausted_quadrature_budget_is_an_error_exit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(runner_mod.oracle, "EVALUATION_BUDGET", 50)

@@ -15,6 +15,7 @@ from decolab.core import (
     HBAR_CGS,
     KB_CGS,
     NATURAL,
+    UNIT_SYSTEMS,
     CatSpec,
     PhysicalConstants,
     RegimeBreakdownError,
@@ -38,7 +39,7 @@ class TestPhysicalConstants:
     def test_natural_is_unity(self):
         assert NATURAL.hbar == 1.0
         assert NATURAL.k_boltzmann == 1.0
-        assert NATURAL.unit_system == "natural"
+        assert UNIT_SYSTEMS == {"natural": NATURAL, "cgs": CGS}
 
     def test_cgs_values(self):
         assert CGS.hbar == pytest.approx(6.62607015e-27 / (2 * math.pi), rel=1e-15)
@@ -46,17 +47,9 @@ class TestPhysicalConstants:
         assert CGS.hbar == HBAR_CGS
         assert CGS.k_boltzmann == KB_CGS
 
-    def test_natural_must_be_unity(self):
-        with pytest.raises(ValueError):
-            PhysicalConstants(2.0, 1.0, "natural")
-
-    def test_unknown_system_rejected(self):
-        with pytest.raises(ValueError):
-            PhysicalConstants(1.0, 1.0, "si")
-
     def test_positive_constants_required(self):
         with pytest.raises(ValueError):
-            PhysicalConstants(0.0, 1.0, "cgs")
+            PhysicalConstants(0.0, 1.0)
 
 
 class TestSpecs:

@@ -101,8 +101,7 @@ def plant_f1_envelope(monkeypatch):
 def plant_f1_log_a(monkeypatch):
     # log a = -s d^2 / 4 sigma^2 w^2 in place of -s d^2 / 8 sigma^2 w^2
     def change(log_attenuation, *args):
-        c, w2, log_a = log_attenuation(*args)
-        return c, w2, 2.0 * log_a
+        return 2.0 * log_attenuation(*args)
     wrap(monkeypatch, cat_free, "_log_attenuation", change)
 
 
