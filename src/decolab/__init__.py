@@ -31,16 +31,14 @@ from .core import (
 from .cat_free import (
     CatField,
     ReservoirKinematics,
-    attenuation_decoupled_high_t,
-    attenuation_exact,
     attenuation_from_field,
-    attenuation_high_t,
     cat_probability,
     free_kinematics,
     high_t_decoherence_time,
     log_attenuation_decoupled_high_t,
     log_attenuation_exact,
     log_attenuation_from_terms,
+    log_attenuation_high_t,
     log_attenuation_low_t,
     low_t_time_constant,
     normalization_constant,
@@ -52,7 +50,6 @@ from .cat_free import (
 from .cat_oscillator import (
     OscillatorSpec,
     attenuation_oscillator,
-    minimum_attenuation,
     revival_times,
 )
 from .spin_bloch import (

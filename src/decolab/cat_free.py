@@ -16,7 +16,9 @@ a(t) in closed form is exp(-s d^2 / 8 sigma^2 w^2); equivalently it is the
 ratio of the interference envelope to the geometric mean of the two direct
 terms, and the two definitions agree identically.
 
-The attenuation laws take t as a float or as an array of times: a float
+Each attenuation law returns log a(t), finite where a(t) underflows to 0;
+a = exp(log a) is taken per sample (`core.float_map`) where it is written
+or compared.  The laws take t as a float or as an array of times: a float
 gives a float, and an array gives, bit for bit, the values a loop of scalar
 calls would.  An array is checked once per call: a t that breaks a law's
 bounds raises the scalar call's error for the first such t, before any
@@ -400,18 +402,11 @@ def cat_pointwise(spec: CatSpec, kin: ReservoirKinematics, t: float) -> CatPoint
 
 @fail_closed
 def log_attenuation_exact(spec: CatSpec, kin: ReservoirKinematics, t: float | np.ndarray):
-    """log a(t) = -s(t) d^2 / 8 sigma^2 w^2(t), finite where a(t) underflows to 0."""
+    """log a(t) = -s(t) d^2 / 8 sigma^2 w^2(t), finite where a(t) underflows to 0,
+    and 0 whenever s(t) = 0: packet spreading alone never costs fringe
+    contrast, only environmental displacement noise does."""
     _, s, w2 = _kinematics_at(kin, spec.sigma, t)
     return _log_attenuation(spec, s, w2)
-
-
-def attenuation_exact(spec: CatSpec, kin: ReservoirKinematics, t: float | np.ndarray):
-    """Fringe attenuation a(t) = exp(-s(t) d^2 / 8 sigma^2 w^2(t)).
-
-    Equals 1 whenever s(t) = 0: packet spreading alone never costs
-    fringe contrast, only environmental displacement noise does.
-    """
-    return float_map(math.exp, log_attenuation_exact(spec, kin, t))
 
 
 def resolvable_overlap(field: CatField) -> np.ndarray:
@@ -435,13 +430,17 @@ def attenuation_from_field(field: CatField) -> float:
 
 def log_attenuation_from_terms(
     spec: CatSpec, kin: ReservoirKinematics, t: float, x_grid: np.ndarray
-) -> float:
+) -> tuple[float, float]:
     """Recover log a(t) as log envelope - (log p1 + log p2) / 2 on a grid.
 
     Each term is evaluated in the log domain from the same coefficients as
     cat_probability, so the recovery stays finite where p1 * p2 underflows
     at every grid point (a separation of hundreds of widths).  Averaged
-    over the grid like attenuation_from_field.
+    over the grid like attenuation_from_field.  Returns (log a, rounding):
+    the terms, up to about d^2/2w^2, cancel down to log a, and floating
+    point alone may leave up to `rounding` in it, half an ulp of the
+    largest term for each of 16 roundings per grid point (squares counted
+    twice) and one more per level of the mean's pairwise sum.
     """
     _, s, w2 = _kinematics_at(kin, spec.sigma, t)
     log_a = _log_attenuation(spec, s, w2)
@@ -453,7 +452,9 @@ def log_attenuation_from_terms(
     log_p1 = log_norm - (x - half_d) ** 2 * inv2w2
     log_p2 = log_norm - (x + half_d) ** 2 * inv2w2
     log_envelope = log_norm + (log_a - spec.d * spec.d / (8.0 * w2)) - x * x * inv2w2
-    return float(np.mean(log_envelope - 0.5 * (log_p1 + log_p2)))
+    largest = max(float(np.max(np.abs(term))) for term in (log_p1, log_p2, log_envelope))
+    rounding = (16 + x.size.bit_length()) * 2.0 ** -53 * largest
+    return float(np.mean(log_envelope - 0.5 * (log_p1 + log_p2))), rounding
 
 
 @fail_closed
@@ -504,23 +505,24 @@ def _check_horizon(t, horizon: float, expansion: str) -> np.ndarray:
 
 
 @fail_closed
-def attenuation_high_t(
+def log_attenuation_high_t(
     spec: CatSpec,
     temperature: float,
     t: float | np.ndarray,
     constants: PhysicalConstants = NATURAL,
 ):
-    """Entangled high-temperature decay a(t) = exp(-(t/tau_d)^2).
+    """log a(t) = -(t/tau_d)^2 of the entangled high-temperature decay.
 
     This is the closed form with the packet variance frozen at sigma^2,
     valid for separations large against both the packet width and the
-    thermal wavelength (warns when either ratio drops below 10).
+    thermal wavelength (warns when either ratio drops below 10).  With
+    d = 0 there is no fringe to lose: log a = 0.
     """
     if spec.d == 0:
-        return _constant_like(t, 1.0)
+        return _constant_like(t, 0.0)
     _warn_separation_scales(spec, temperature, constants)
     tau_d = high_t_decoherence_time(spec, temperature, constants)
-    return float_map(lambda q: math.exp(-q ** 2), t / tau_d)
+    return -float_map(lambda q: q ** 2, t / tau_d)
 
 
 def low_t_time_constant(
@@ -550,24 +552,31 @@ def log_attenuation_low_t(
     the bracket is negative and a < 1.  The derivation also assumes t above
     a short-time cutoff that is not pinned down quantitatively, so small-t
     values carry a warning (once per call).  An array with any t < 0 or
-    t >= m/zeta raises for the first such t, before the warning.  With
-    d = 0 there is no fringe to lose: log a = 0.
+    t >= m/zeta, or where zeta t / m underflows to 0 at a t > 0, raises for
+    the first such t, before the warning.  With d = 0 there is no fringe
+    to lose: log a = 0.
     """
     require_positive("zeta", zeta)
-    if _check_horizon(t, spec.mass / zeta, "low-temperature").size:
+    flat = _check_horizon(t, spec.mass / zeta, "low-temperature")
+    ratio = zeta * flat / spec.mass  # the bracket takes its log
+    underflowed = (ratio == 0.0) & (flat != 0.0)
+    if spec.d != 0 and underflowed.any():
+        raise RegimeBreakdownError(
+            f"zeta t / m underflows to 0 at t = {float(flat[np.argmax(underflowed)]):g} "
+            f"(zeta = {zeta:g}, m = {spec.mass:g})"
+        )
+    if flat.size:
         warn_regime(
             "the low-temperature form is derived for t above a short-time "
             "cutoff that is not specified quantitatively; treat small-t values with care"
         )
-    times = np.asarray(t, dtype=float)
-    out = np.zeros(times.shape)  # t = 0 stays 0: t^2 log t -> 0
-    moving = times != 0.0
+    out = np.zeros(flat.shape)  # t = 0 stays 0: t^2 log t -> 0
+    moving = flat != 0.0
     if moving.any() and spec.d != 0:
         tau0 = low_t_time_constant(spec, zeta, constants)
-        tm = times[moving]
-        bracket = float_map(math.log, zeta * tm / spec.mass) + EULER_GAMMA - 1.5
-        out[moving] = float_map(lambda q: q ** 2, tm / tau0) * bracket
-    return out if out.ndim else float(out)
+        bracket = float_map(math.log, ratio[moving]) + EULER_GAMMA - 1.5
+        out[moving] = float_map(lambda q: q ** 2, flat[moving] / tau0) * bracket
+    return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
 
 
 @fail_closed
@@ -578,9 +587,13 @@ def log_attenuation_decoupled_high_t(
     t: float | np.ndarray,
     constants: PhysicalConstants = NATURAL,
 ):
-    """log a(t) of the decoupled high-temperature law (see
-    attenuation_decoupled_high_t), finite where a(t) underflows to 0; same
-    warnings and errors."""
+    """log a(t) of the high-temperature decay of a state prepared uncorrelated
+    with the bath, a(t) = exp[-zeta k T d^2 t^3 / (12 m^2 sigma^4 + 3 hbar^2 t^2)],
+    finite where a(t) underflows to 0.  Cubic rather than quadratic at early
+    times; zeta = 0 switches off the coupling and the decay.  Valid for t
+    below m/zeta (hard error there; above a tenth of it, warns once per call,
+    naming the first such t and how many there are).  An array with any
+    t < 0 or t >= m/zeta raises for the first such t, before any warning."""
     require_non_negative("zeta", zeta)
     require_positive("temperature", temperature)
     horizon = spec.mass / zeta if zeta else math.inf
@@ -597,28 +610,6 @@ def log_attenuation_decoupled_high_t(
         lambda q: q ** 2, constants.hbar * t
     )
     return -num / den
-
-
-def attenuation_decoupled_high_t(
-    spec: CatSpec,
-    zeta: float,
-    temperature: float,
-    t: float | np.ndarray,
-    constants: PhysicalConstants = NATURAL,
-):
-    """High-temperature decay for a state prepared uncorrelated with the bath.
-
-        a(t) = exp[ -zeta k T d^2 t^3 / (12 m^2 sigma^4 + 3 hbar^2 t^2) ]
-
-    Cubic rather than quadratic at early times, and switching off the
-    coupling (zeta = 0) removes the decay entirely.  Valid for t below
-    m/zeta (hard error there; above a tenth of it, warns once per call,
-    naming the first such t and how many there are).  An array with any
-    t < 0 or t >= m/zeta raises for the first such t, before any warning.
-    """
-    return float_map(
-        math.exp, log_attenuation_decoupled_high_t(spec, zeta, temperature, t, constants)
-    )
 
 
 class Regime(NamedTuple):

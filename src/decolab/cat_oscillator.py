@@ -7,9 +7,10 @@ omega, thermal contact attenuates the fringes by
 
 The cos^2 makes the loss periodic: a returns to exactly 1 whenever
 cos(omega t) = 0, i.e. at t_n = (2n+1) pi / 2 omega, and touches its floor
-at multiples of pi/omega.  Near a revival and at high temperature the decay
-reduces to the free-particle Gaussian law `cat_free.attenuation_high_t` at
-the ground-state width sigma^2 = hbar / 2 m omega.
+at multiples of pi/omega, exp(-K) with K = `exponent_prefactor`.  Near a
+revival and at high temperature the decay reduces to the free-particle
+Gaussian law, a = exp(`cat_free.log_attenuation_high_t`), at the
+ground-state width sigma^2 = hbar / 2 m omega.
 """
 
 import math
@@ -80,14 +81,10 @@ def attenuation_oscillator(
 
 
 def exponent_prefactor(spec: OscillatorSpec, constants: PhysicalConstants = NATURAL) -> float:
-    """K = m omega d^2 / (2 hbar sinh(hbar omega / k T)), so a(t) = exp(-K cos^2(omega t))."""
+    """K = m omega d^2 / (2 hbar sinh(hbar omega / k T)), so a(t) = exp(-K cos^2(omega t))
+    and the floor of the cycle is exp(-K), where cos^2(omega t) = 1 (t = 0, pi/omega, ...)."""
     x = constants.hbar * spec.omega / (constants.k_boltzmann * spec.temperature)
     return spec.mass * spec.omega * spec.d ** 2 / (2.0 * constants.hbar) * _inverse_sinh(x)
-
-
-def minimum_attenuation(spec: OscillatorSpec, constants: PhysicalConstants = NATURAL) -> float:
-    """Floor of the cycle, exp(-K), reached where cos^2(omega t) = 1 (t = 0, pi/omega, ...)."""
-    return math.exp(-exponent_prefactor(spec, constants))
 
 
 def revival_times(spec: OscillatorSpec, n_max: int) -> np.ndarray:

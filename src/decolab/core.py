@@ -134,10 +134,16 @@ class ReservoirSpec:
             require_non_negative("zeta", self.zeta)
 
     def zeta_for(self, mass: float) -> float:
-        """Coupling strength zeta = gamma * mass unless set explicitly."""
+        """Coupling strength zeta = gamma * mass unless set explicitly;
+        RegimeBreakdownError where a positive gamma * mass underflows to 0."""
         if self.zeta is not None:
             return self.zeta
-        return self.gamma * mass
+        zeta = self.gamma * mass
+        if self.gamma > 0 and not zeta > 0:
+            raise RegimeBreakdownError(
+                f"zeta = gamma * mass underflows to 0 (gamma = {self.gamma:g}, mass = {mass:g})"
+            )
+        return zeta
 
 
 def fail_closed(law):

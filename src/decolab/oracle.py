@@ -60,7 +60,8 @@ def integrate_adaptive(
     tolerance, and the extrapolated value is accumulated.  `evaluations` is
     3 (a, midpoint, b) plus 2 per panel examined (its quarter points).
     Raises ValueError at a non-finite value, and ConvergenceError before
-    the evaluations would pass the global budget (1e7 calls).
+    the evaluations would pass the global budget (1e7 calls) or at the
+    first panel whose quarter points the floats cannot separate.
     """
     if not b > a:
         raise ValueError(f"need b > a, got [{a}, {b}]")
@@ -90,6 +91,11 @@ def integrate_adaptive(
         m0 = 0.5 * (a0 + b0)
         lm = 0.5 * (a0 + m0)
         rm = 0.5 * (m0 + b0)
+        if not a0 < lm < m0 < rm < b0:
+            raise ConvergenceError(
+                f"quadrature panel [{float(a0)!r}, {float(b0)!r}] "
+                "is too narrow to bisect in floating point"
+            )
         flm, frm = f(lm), f(rm)
         if not (math.isfinite(flm) and math.isfinite(frm)):
             raise _nonfinite((lm, rm), (flm, frm))

@@ -115,7 +115,7 @@ def _run_free_cat(config: RunConfig):
         log_curve = cat_free.log_attenuation_exact(params.cat, kin, times)
     else:
         log_curve = regime.log_attenuation(params.cat, params.reservoir, times, constants)
-    curve = float_map(math.exp, log_curve)  # as the attenuation laws do
+    curve = float_map(math.exp, log_curve)  # a per sample, as a loop of math.exp would
     files = [_write_data(config, "attenuation", "attenuation-curve", ["t", "a"],
                          np.column_stack([times, curve]), regime=params.regime)]
 
@@ -187,21 +187,23 @@ def normalization_deviation(spec: CatSpec, pw) -> float:
     return abs(_cat_integral(spec, pw, pw.total) - 1.0)
 
 
-def ratio_identity_deviation(spec: CatSpec, kin, t: float) -> float:
-    """Gap between a(t) recovered from the sampled field and the closed form,
-    relative to the closed form (absolute once it is below 1e-100).  Where
+def ratio_identity_deviation(spec: CatSpec, kin, t: float) -> tuple[float, float]:
+    """(gap, rounding): the gap between a(t) recovered from the sampled field
+    and the closed form, relative to the closed form (absolute once it is
+    below 1e-100), and what floating point alone may leave in it.  Where
     p1 p2 underflows at every grid point, log a(t) is recovered from
-    log-domain terms and the gap is |recovered - exact| in log a, to first
-    order the same relative gap."""
+    log-domain terms, the gap is |recovered - exact| in log a, to first
+    order the same relative gap, and rounding is that route's bound (see
+    `cat_free.log_attenuation_from_terms`).  Elsewhere the field's exponents
+    stay below about 1,700 and rounding is taken as 0."""
     field = cat_free.cat_probability(spec, kin, t)
+    log_exact = cat_free.log_attenuation_exact(spec, kin, t)
     if not np.any(cat_free.resolvable_overlap(field)):
-        recovered = cat_free.log_attenuation_from_terms(spec, kin, t, field.x)
-        return abs(recovered - cat_free.log_attenuation_exact(spec, kin, t))
-    recovered = cat_free.attenuation_from_field(field)
-    exact = cat_free.attenuation_exact(spec, kin, t)
-    if exact > 1e-100:
-        return abs(recovered - exact) / exact
-    return abs(recovered - exact)
+        recovered, rounding = cat_free.log_attenuation_from_terms(spec, kin, t, field.x)
+        return abs(recovered - log_exact), rounding
+    exact = math.exp(log_exact)
+    gap = abs(cat_free.attenuation_from_field(field) - exact)
+    return (gap / exact if exact > 1e-100 else gap), 0.0
 
 
 def lindblad_bloch_deviation(
@@ -226,9 +228,12 @@ def lindblad_bloch_deviation(
 
 def field_checks(spec: CatSpec, kin, times) -> list:
     """Normalization, term time-invariance and ratio-identity checks of the
-    cat density at each of `times`: the worst deviation of each."""
+    cat density at each of `times`: the worst deviation of each.  A snapshot
+    whose ratio-identity rounding exceeds RATIO_TOL is left out of that
+    check, with one regime warning; with none left, the check is omitted."""
     norm_devs = []
     ratio_devs = []
+    left_out = []  # (t, d/w, rounding) of each snapshot left out of the ratio identity
     term_integrals = []  # one row per snapshot: P1, P2 and the interference term
     for t in times:
         pw = cat_free.cat_pointwise(spec, kin, float(t))
@@ -244,15 +249,29 @@ def field_checks(spec: CatSpec, kin, times) -> list:
             _cat_integral(spec, pw, pw.p2),
             2.0 * _cat_integral(spec, pw, pw.interference),
         ])
-        ratio_devs.append(ratio_identity_deviation(spec, kin, float(t)))
+        gap, rounding = ratio_identity_deviation(spec, kin, float(t))
+        if rounding > RATIO_TOL:
+            left_out.append((float(t), spec.d / w, rounding))
+        else:
+            ratio_devs.append(gap)
 
     # np.max and np.ptp keep a NaN, where Python's max and min can drop it
     invariance_dev = float(np.max(np.ptp(term_integrals, axis=0)))
-    return [
+    checks = [
         Check("normalization", float(np.max(norm_devs)), NORMALIZATION_TOL),
         Check("term_time_invariance", invariance_dev, TERM_INVARIANCE_TOL),
-        Check("attenuation_ratio_identity", float(np.max(ratio_devs)), RATIO_TOL),
     ]
+    if left_out:
+        t, d_over_w, rounding = left_out[0]
+        count = f" (first of {len(left_out)} such snapshots)" if len(left_out) > 1 else ""
+        warn_regime(
+            f"rounding may leave up to {rounding:.3g} in the log-domain ratio identity at snapshot "
+            f"t = {t:g} (d/w = {d_over_w:.4g}), above its tolerance {RATIO_TOL:g}; left out of "
+            f"attenuation_ratio_identity{count}"
+        )
+    if ratio_devs:
+        checks.append(Check("attenuation_ratio_identity", float(np.max(ratio_devs)), RATIO_TOL))
+    return checks
 
 
 def _run_oscillator(config: RunConfig):
@@ -298,8 +317,7 @@ def _run_oscillator(config: RunConfig):
             at_revivals = cat_oscillator.attenuation_oscillator(spec, revivals[resolvable], constants)
             dev = float(np.max(np.abs(at_revivals - 1.0)))
             checks.append(Check("revival_unity", dev, REVIVAL_TOL))
-        floor = cat_oscillator.minimum_attenuation(spec, constants)
-        dev = abs(cat_oscillator.attenuation_oscillator(spec, 0.0, constants) - floor)
+        dev = abs(cat_oscillator.attenuation_oscillator(spec, 0.0, constants) - math.exp(-k))
         checks.append(Check("minimum_closed_form", dev, MINIMUM_TOL))
     return files, checks
 
@@ -409,10 +427,10 @@ def compare_regimes(config: RunConfig) -> Path:
     zeta = params.reservoir.zeta_for(params.cat.mass)
     times = _time_grid(config)
     temperature = params.reservoir.temperature
-    entangled = cat_free.attenuation_high_t(params.cat, temperature, times, constants)
-    decoupled = cat_free.attenuation_decoupled_high_t(
-        params.cat, zeta, temperature, times, constants
-    )
+    entangled = float_map(math.exp, cat_free.log_attenuation_high_t(
+        params.cat, temperature, times, constants))
+    decoupled = float_map(math.exp, cat_free.log_attenuation_decoupled_high_t(
+        params.cat, zeta, temperature, times, constants))
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     columns = ["t", "a_high_t_entangled", "a_decoupled_hpz"]

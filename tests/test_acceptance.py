@@ -13,19 +13,19 @@ import pytest
 
 from decolab.cat_free import (
     CatSpec,
-    attenuation_decoupled_high_t,
-    attenuation_exact,
-    attenuation_high_t,
     cat_pointwise,
     free_kinematics,
     high_t_decoherence_time,
+    log_attenuation_decoupled_high_t,
+    log_attenuation_exact,
+    log_attenuation_high_t,
     log_attenuation_low_t,
     ohmic_high_t_kinematics,
 )
 from decolab.cat_oscillator import (
     OscillatorSpec,
     attenuation_oscillator,
-    minimum_attenuation,
+    exponent_prefactor,
     revival_times,
 )
 from decolab.cli import main
@@ -143,11 +143,12 @@ class TestCriterion3:
         configs = random_cat_configs(50, seed=509)
         worst = 0.0
         for spec, kin, _, times in configs:
-            assert attenuation_exact(spec, kin, 0.0) == 1.0
+            assert log_attenuation_exact(spec, kin, 0.0) == 0.0
             for t in times:
-                exact = attenuation_exact(spec, kin, float(t))
+                exact = math.exp(log_attenuation_exact(spec, kin, float(t)))
                 assert 0.0 < exact <= 1.0
-                worst = max(worst, ratio_identity_deviation(spec, kin, float(t)))
+                gap, _ = ratio_identity_deviation(spec, kin, float(t))
+                worst = max(worst, gap)
         assert worst < RATIO_TOL
         summary(
             f"criterion 3: PASS (field-recovered vs closed-form attenuation, "
@@ -164,9 +165,7 @@ class TestCriterion4:
             warnings.simplefilter("ignore", RegimeValidityWarning)
             tau = high_t_decoherence_time(spec, temperature)
             times = np.linspace(0.0, 2.0, 41)
-            log_a = np.array(
-                [math.log(attenuation_high_t(spec, temperature, float(t))) for t in times]
-            )
+            log_a = np.array([log_attenuation_high_t(spec, temperature, float(t)) for t in times])
         coeffs = np.polyfit(times, log_a, 2)
         residual = np.max(np.abs(np.polyval(coeffs, times) - log_a))
         assert residual < 1e-10
@@ -188,13 +187,13 @@ class TestCriterion4:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeValidityWarning)
             for t in (0.05, 0.3, 0.9, 1.6):
-                a = attenuation_decoupled_high_t(narrow, zeta, temperature, t)
+                a = math.exp(log_attenuation_decoupled_high_t(narrow, zeta, temperature, t))
                 worst = max(worst, abs(a / math.exp(-t / tau_dec) - 1.0))
         assert worst < 1e-8
 
         # and with the reservoir switched off nothing decays
         for t in (0.1, 1.0, 7.0):
-            assert attenuation_decoupled_high_t(spec, 0.0, temperature, t) == 1.0
+            assert log_attenuation_decoupled_high_t(spec, 0.0, temperature, t) == 0.0
 
         summary(
             f"criterion 4: PASS (high-T log-quadratic residual {residual:.2e} with "
@@ -213,7 +212,7 @@ class TestCriterion5:
         )
         assert worst_revival <= 1e-15
 
-        floor = minimum_attenuation(spec)
+        floor = math.exp(-exponent_prefactor(spec))
         assert floor > 0.1
         worst_min = max(
             abs(attenuation_oscillator(spec, k * math.pi / spec.omega) - floor)
@@ -228,7 +227,7 @@ class TestCriterion5:
         ground = CatSpec(mass=hot.mass, sigma=math.sqrt(0.5 / (hot.mass * hot.omega)), d=hot.d)
         delta = np.linspace(-1e-2, 1e-2, 41)
         osc = attenuation_oscillator(hot, math.pi / (2.0 * hot.omega) + delta)
-        free = attenuation_high_t(ground, hot.temperature, delta)
+        free = np.exp(log_attenuation_high_t(ground, hot.temperature, delta))
         limit = float(np.max(np.abs(osc - free) / free))
         assert limit < 1e-2
 

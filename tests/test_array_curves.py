@@ -1,4 +1,4 @@
-"""The attenuation laws over an array of times against a loop of scalar calls.
+"""The attenuation laws, log a(t), over an array of times against a loop of scalar calls.
 
 The loop is the reference: an array call must give the same floats bit for
 bit, or the same error with no warning before it.  Its warnings are the
@@ -14,18 +14,17 @@ import pytest
 
 from decolab.cat_free import (
     ReservoirKinematics,
-    attenuation_decoupled_high_t,
-    attenuation_exact,
-    attenuation_high_t,
     free_kinematics,
+    log_attenuation_decoupled_high_t,
     log_attenuation_exact,
+    log_attenuation_high_t,
     log_attenuation_low_t,
     ohmic_high_t_kinematics,
     packet_variance,
     tabulated_kinematics,
 )
 from decolab.cat_oscillator import OscillatorSpec, attenuation_oscillator
-from decolab.core import CGS, NATURAL, CatSpec, RegimeValidityWarning, float_map
+from decolab.core import CGS, NATURAL, CatSpec, RegimeValidityWarning
 from decolab.runner import recorded_warnings
 
 CAT = CatSpec(mass=1.3, sigma=0.8, d=2.5)
@@ -33,8 +32,8 @@ TIMES = np.concatenate([[0.0], np.random.default_rng(5).uniform(0.0, 0.9, 400), 
 
 
 def low_t(t):
-    """The low-temperature attenuation exp(log a(t)) at zeta = 1.3, per sample."""
-    return float_map(math.exp, log_attenuation_low_t(CAT, 1.3, t))
+    """log a(t) of the low-temperature law at zeta = 1.3."""
+    return log_attenuation_low_t(CAT, 1.3, t)
 
 
 def result_of(call):
@@ -107,32 +106,31 @@ class TestAttenuationExact:
                              np.linspace(0.0, 1.0, 37) ** 2),
     ], ids=["free", "free-cgs", "ohmic-high-t", "ohmic-hot", "tabulated"])
     def test_array_equals_scalar_loop(self, kin):
-        curve, _ = assert_matches_loop(lambda t: attenuation_exact(CAT, kin, t), TIMES)
-        assert curve[0] == 1.0
-        assert_matches_loop(lambda t: log_attenuation_exact(CAT, kin, t), TIMES)
+        curve, _ = assert_matches_loop(lambda t: log_attenuation_exact(CAT, kin, t), TIMES)
+        assert curve[0] == 0.0
         assert_matches_loop(lambda t: packet_variance(kin, CAT.sigma, t), TIMES)
 
     def test_float_in_float_out(self):
-        value = attenuation_exact(CAT, ohmic(), 0.5)
-        assert type(value) is float
         assert type(log_attenuation_exact(CAT, ohmic(), 0.5)) is float
 
     def test_one_warning_for_the_times_outside_the_window(self):
         times = np.linspace(0.0, 30.0, 61)  # the window ends at 1/gamma = 10
-        _, distinct = assert_matches_loop(lambda t: attenuation_exact(CAT, ohmic(0.1), t), times)
+        _, distinct = assert_matches_loop(
+            lambda t: log_attenuation_exact(CAT, ohmic(0.1), t), times
+        )
         assert distinct == ["t = 10 lies outside the validity window [0, 10) of the "
                             "ohmic-high-t kinematics (first of 41 such times)"]
 
     def test_tabulated_past_its_end(self):
         kin = tabulated_kinematics([0.0, 0.5], [0.0, 0.2], [0.0, 0.4], label="short")
         _, distinct = assert_matches_loop(
-            lambda t: attenuation_exact(CAT, kin, t), np.linspace(0.0, 1.0, 11)
+            lambda t: log_attenuation_exact(CAT, kin, t), np.linspace(0.0, 1.0, 11)
         )
         assert distinct == ["t = 0.5 lies outside the validity window [0, 0.5) of the "
                             "short kinematics (first of 6 such times)"]
 
     @pytest.mark.parametrize("evaluate, s, text", [
-        (lambda kin, t: attenuation_exact(CAT, kin, t), lambda t: t * (0.5 - t),
+        (lambda kin, t: log_attenuation_exact(CAT, kin, t), lambda t: t * (0.5 - t),
          "mean-square displacement s = -0.36 is negative at t = 0.9"),
         (lambda kin, t: packet_variance(kin, CAT.sigma, t), lambda t: -4.0 * t * (t > 0.5),
          "packet variance w^2 = -2.96 is not positive at t = 0.9"),
@@ -151,14 +149,14 @@ class TestAttenuationExact:
 
 class TestClosedFormRegimes:
     def test_high_t(self):
-        _, distinct = assert_matches_loop(lambda t: attenuation_high_t(CAT, 2.0, t), TIMES)
+        _, distinct = assert_matches_loop(lambda t: log_attenuation_high_t(CAT, 2.0, t), TIMES)
         assert len(distinct) == 2  # d is not large against sigma nor lambda_th
-        assert_matches_loop(lambda t: attenuation_high_t(CAT, 2.0, t, CGS), TIMES * 1e-12)
+        assert_matches_loop(lambda t: log_attenuation_high_t(CAT, 2.0, t, CGS), TIMES * 1e-12)
 
     def test_high_t_zero_separation(self):
         flat = CatSpec(mass=1.0, sigma=1.0, d=0.0)
-        curve, _ = assert_matches_loop(lambda t: attenuation_high_t(flat, 2.0, t), TIMES)
-        assert np.all(curve == 1.0)
+        curve, _ = assert_matches_loop(lambda t: log_attenuation_high_t(flat, 2.0, t), TIMES)
+        assert np.all(curve == 0.0)
 
     def test_low_t(self):
         times = TIMES * (0.99 / 0.9)  # up to just under m/zeta = 1.3 / 1.3
@@ -179,7 +177,7 @@ class TestClosedFormRegimes:
         # with zeta = 0.4, m/zeta = 3.25 and t > 0.325 warns, once per call
         times = TIMES * 3.0
         _, distinct = assert_matches_loop(
-            lambda t: attenuation_decoupled_high_t(CAT, zeta, 2.0, t), times
+            lambda t: log_attenuation_decoupled_high_t(CAT, zeta, 2.0, t), times
         )
         if zeta:
             late = times[times > 0.1 * CAT.mass / zeta]
@@ -196,7 +194,7 @@ class TestClosedFormRegimes:
     ], ids=["past-horizon", "negative"])
     def test_decoupled_errors(self, times):
         result, distinct = assert_matches_loop(
-            lambda t: attenuation_decoupled_high_t(CAT, 0.4, 2.0, t), times
+            lambda t: log_attenuation_decoupled_high_t(CAT, 0.4, 2.0, t), times
         )
         assert isinstance(result, tuple)
         if times[-1] == 5.0:
@@ -205,11 +203,11 @@ class TestClosedFormRegimes:
 
     @pytest.mark.filterwarnings("ignore::decolab.core.RegimeValidityWarning")
     def test_float_in_float_out(self):
-        assert type(attenuation_high_t(CAT, 2.0, 0.3)) is float
+        assert type(log_attenuation_high_t(CAT, 2.0, 0.3)) is float
         assert type(log_attenuation_low_t(CAT, 1.3, 0.3)) is float
         assert log_attenuation_low_t(CAT, 1.3, 0.0) == 0.0
-        assert type(attenuation_decoupled_high_t(CAT, 0.4, 2.0, 0.3)) is float
-        assert type(attenuation_decoupled_high_t(CAT, 0.0, 2.0, 0.3)) is float
+        assert type(log_attenuation_decoupled_high_t(CAT, 0.4, 2.0, 0.3)) is float
+        assert type(log_attenuation_decoupled_high_t(CAT, 0.0, 2.0, 0.3)) is float
 
 
 class TestOscillator:

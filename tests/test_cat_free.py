@@ -21,10 +21,7 @@ from decolab.core import (
 )
 from decolab.cat_free import (
     ReservoirKinematics,
-    attenuation_decoupled_high_t,
-    attenuation_exact,
     attenuation_from_field,
-    attenuation_high_t,
     cat_pointwise,
     cat_probability,
     default_grid,
@@ -33,6 +30,7 @@ from decolab.cat_free import (
     log_attenuation_decoupled_high_t,
     log_attenuation_exact,
     log_attenuation_from_terms,
+    log_attenuation_high_t,
     log_attenuation_low_t,
     low_t_time_constant,
     normalization_constant,
@@ -113,8 +111,8 @@ class TestTabulatedKinematics:
         tab = tabulated_kinematics(times, times, 2.0 * times ** 2, label="dense")
         spec = CatSpec(mass=1.0, sigma=1.0, d=3.0)
         for t in (0.1, 0.37, 0.9):
-            a_tab = attenuation_exact(spec, tab, t)
-            a_ref = attenuation_exact(spec, exact, t)
+            a_tab = math.exp(log_attenuation_exact(spec, tab, t))
+            a_ref = math.exp(log_attenuation_exact(spec, exact, t))
             assert a_tab == pytest.approx(a_ref, rel=1e-6)
 
     def test_validation(self):
@@ -334,14 +332,16 @@ class TestAttenuationExact:
         # sigma = 1, d = 2, s = 1, c = 0 gives w2 = 2 and a = exp(-1/4)
         kin = still_kinematics(lambda t: min(t, 1.0))
         spec = CatSpec(mass=1.0, sigma=1.0, d=2.0)
-        a = attenuation_exact(spec, kin, 1.0)
-        assert a == pytest.approx(0.7788007830714049, rel=1e-15)
+        assert log_attenuation_exact(spec, kin, 1.0) == -0.25
+        assert math.exp(log_attenuation_exact(spec, kin, 1.0)) == pytest.approx(
+            0.7788007830714049, rel=1e-15
+        )
 
     def test_free_evolution_keeps_full_contrast(self):
         spec = CatSpec(mass=1.0, sigma=1.0, d=4.0)
         kin = free_kinematics(1.0)
         for t in (0.0, 0.3, 2.0, 7.5):
-            assert attenuation_exact(spec, kin, t) == 1.0
+            assert log_attenuation_exact(spec, kin, t) == 0.0
 
     def test_bounds_and_initial_value(self):
         rng = np.random.default_rng(7)
@@ -356,8 +356,8 @@ class TestAttenuationExact:
                 kin = ohmic_high_t_kinematics(
                     spec.mass, rng.uniform(0.5, 3.0), rng.uniform(0.0, 0.05)
                 )
-            assert attenuation_exact(spec, kin, 0.0) == 1.0
-            a = attenuation_exact(spec, kin, rng.uniform(0.0, 2.0))
+            assert log_attenuation_exact(spec, kin, 0.0) == 0.0
+            a = math.exp(log_attenuation_exact(spec, kin, rng.uniform(0.0, 2.0)))
             assert 0.0 < a <= 1.0
 
     @pytest.mark.parametrize("sigma, d, times", [
@@ -393,7 +393,7 @@ class TestAttenuationExact:
             warnings.simplefilter("ignore", RegimeValidityWarning)
             kin = ohmic_high_t_kinematics(1.0, 2.0, 0.0)
         times = np.linspace(0.0, 3.0, 40)
-        values = [attenuation_exact(spec, kin, t) for t in times]
+        values = [math.exp(log_attenuation_exact(spec, kin, t)) for t in times]
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
 
 
@@ -422,7 +422,7 @@ class TestFieldRatioRecovery:
             t = rng.uniform(0.0, 1.5)
             field = cat_probability(spec, kin, t)
             ratio = attenuation_from_field(field)
-            exact = attenuation_exact(spec, kin, t)
+            exact = math.exp(log_attenuation_exact(spec, kin, t))
             assert abs(ratio / exact - 1.0) < 1e-10
             # the ratio is independent of x at every usable grid point
             assert np.max(np.abs(self.pointwise_ratio(field) - ratio)) < 1e-9
@@ -436,8 +436,9 @@ class TestFieldRatioRecovery:
         spec = CatSpec(mass=1.3, sigma=0.9, d=3.0)
         kin = ohmic_high_t_kinematics(spec.mass, 2.0, 0.01)
         field = cat_probability(spec, kin, 0.8)
-        recovered = log_attenuation_from_terms(spec, kin, 0.8, field.x)
+        recovered, rounding = log_attenuation_from_terms(spec, kin, 0.8, field.x)
         assert recovered == pytest.approx(math.log(attenuation_from_field(field)), abs=1e-10)
+        assert 0.0 < rounding < 1e-12  # terms of a few units
 
     def test_log_domain_terms_recover_an_underflowed_fringe(self):
         # 400 widths apart: p1 p2 underflows everywhere and a(t) itself is 0.0
@@ -446,13 +447,13 @@ class TestFieldRatioRecovery:
         field = cat_probability(spec, kin, 2.0)
         with pytest.raises(ValueError, match="no grid points"):
             attenuation_from_field(field)
-        assert attenuation_exact(spec, kin, 2.0) == 0.0
         exact = log_attenuation_exact(spec, kin, 2.0)
-        recovered = log_attenuation_from_terms(spec, kin, 2.0, field.x)
+        assert math.exp(exact) == 0.0
+        recovered, rounding = log_attenuation_from_terms(spec, kin, 2.0, field.x)
         assert exact == pytest.approx(-16000.0, rel=1e-12)
-        assert abs(recovered - exact) < 1e-10
+        assert abs(recovered - exact) <= rounding < RATIO_TOL
         # the log-domain ratio is independent of x, point by point
-        pointwise = [log_attenuation_from_terms(spec, kin, 2.0, field.x[i:i + 1])
+        pointwise = [log_attenuation_from_terms(spec, kin, 2.0, field.x[i:i + 1])[0]
                      for i in range(0, field.x.size, 97)]
         assert np.max(np.abs(np.array(pointwise) - recovered)) < 1e-9
 
@@ -463,8 +464,9 @@ class TestFieldRatioRecovery:
         field = cat_probability(spec, kin, 1.0)
         assert np.all(resolvable_overlap(field))
         assert log_attenuation_exact(spec, kin, 1.0) == pytest.approx(-312.1, abs=0.05)
-        assert 0.0 < attenuation_exact(spec, kin, 1.0) < 1e-100
-        deviation = ratio_identity_deviation(spec, kin, 1.0)
+        assert 0.0 < math.exp(log_attenuation_exact(spec, kin, 1.0)) < 1e-100
+        deviation, rounding = ratio_identity_deviation(spec, kin, 1.0)
+        assert rounding == 0.0  # the grid route
         # the absolute gap is ~1e-152; a relative one would be ~1e-16
         assert deviation < 1e-140
         assert deviation < RATIO_TOL
@@ -485,8 +487,8 @@ class TestHighTemperatureLaw:
             warnings.simplefilter("ignore", RegimeValidityWarning)
             tau = high_t_decoherence_time(spec, 2.0)
             for t in (0.0, 0.4, 1.0, 2.3):
-                a = attenuation_high_t(spec, 2.0, t)
-                assert a == pytest.approx(math.exp(-((t / tau) ** 2)), rel=1e-14)
+                log_a = log_attenuation_high_t(spec, 2.0, t)
+                assert log_a == pytest.approx(-((t / tau) ** 2), rel=1e-14)
 
     def test_scaling_with_separation(self):
         # tau_d falls like 1/d, so the exponent grows like d^2
@@ -498,19 +500,19 @@ class TestHighTemperatureLaw:
 
     def test_no_separation_no_decay(self):
         spec = CatSpec(mass=1.0, sigma=1.0, d=0.0)
-        assert attenuation_high_t(spec, 5.0, 3.0) == 1.0
+        assert log_attenuation_high_t(spec, 5.0, 3.0) == 0.0
 
     def test_warns_when_scales_not_separated(self):
         spec = CatSpec(mass=1.0, sigma=1.0, d=2.0)  # d only 2 sigma
         with pytest.warns(RegimeValidityWarning):
-            attenuation_high_t(spec, 2.0, 0.5)
+            log_attenuation_high_t(spec, 2.0, 0.5)
 
     def test_silent_when_separation_is_wide(self):
         # d = 50 sigma and d = 50 lambda_th: no complaint expected
         spec = CatSpec(mass=1.0, sigma=0.02, d=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RegimeValidityWarning)
-            attenuation_high_t(spec, 2500.0, 0.001)
+            log_attenuation_high_t(spec, 2500.0, 0.001)
 
     def test_cgs_round_trip(self):
         # rescaled natural inputs reproduce the cgs evaluation
@@ -518,9 +520,9 @@ class TestHighTemperatureLaw:
         spec_cgs = CatSpec(mass=mass, sigma=sigma, d=d)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeValidityWarning)
-            a_cgs = attenuation_high_t(spec_cgs, temperature, t, CGS)
+            a_cgs = math.exp(log_attenuation_high_t(spec_cgs, temperature, t, CGS))
             spec_nat = CatSpec(mass=mass, sigma=sigma / math.sqrt(HBAR_CGS), d=d / math.sqrt(HBAR_CGS))
-            a_nat = attenuation_high_t(spec_nat, KB_CGS * temperature / HBAR_CGS, t)
+            a_nat = math.exp(log_attenuation_high_t(spec_nat, KB_CGS * temperature / HBAR_CGS, t))
         assert 0.1 < a_cgs < 0.9  # parameters chosen so the decay is mid-flight
         assert a_nat == pytest.approx(a_cgs, rel=1e-10)
 
@@ -565,8 +567,22 @@ class TestLowTemperatureLaw:
             assert log_attenuation_low_t(spec, 1.0, 0.0) == 0.0
         assert np.all(np.isfinite(log_a)) and np.any(float_map(math.exp, log_a) == 0.0)
 
+    @pytest.mark.parametrize("t, first", [(0.5, "0.5"), (np.array([0.0, 0.25, 0.5]), "0.25")],
+                             ids=["float", "array"])
+    def test_underflowed_zeta_t_over_m_is_a_regime_breakdown(self, t, first):
+        # zeta t / m is 1e-600 t: its log raised a bare "math domain error";
+        # now refused before the short-time warning
+        spec = CatSpec(mass=1e300, sigma=1.0, d=1.0)
+        message = rf"^zeta t / m underflows to 0 at t = {first} \(zeta = 1e-300, m = 1e\+300\)$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RegimeBreakdownError, match=message):
+                log_attenuation_low_t(spec, 1e-300, t)
+        with pytest.warns(RegimeValidityWarning, match="short-time cutoff"):
+            assert np.all(log_attenuation_low_t(CatSpec(1e300, 1.0, 0.0), 1e-300, t) == 0.0)
+
     def test_zero_separation_loses_nothing(self):
-        # d = 0 leaves no fringe, as in attenuation_high_t; the horizon
+        # d = 0 leaves no fringe, as in log_attenuation_high_t; the horizon
         # still holds and the short-time warning is still issued
         spec = CatSpec(mass=1.0, sigma=1.0, d=0.0)
         with pytest.warns(RegimeValidityWarning, match="short-time cutoff"):
@@ -579,7 +595,7 @@ class TestLowTemperatureLaw:
 class TestDecoupledHighTemperatureLaw:
     def test_zero_coupling_keeps_contrast(self):
         spec = CatSpec(mass=1.0, sigma=1.0, d=2.0)
-        assert attenuation_decoupled_high_t(spec, 0.0, 3.0, 0.7) == 1.0
+        assert log_attenuation_decoupled_high_t(spec, 0.0, 3.0, 0.7) == 0.0
 
     def test_narrow_packet_limit(self):
         # sigma -> 0 collapses the law to plain exponential decay, with
@@ -590,32 +606,34 @@ class TestDecoupledHighTemperatureLaw:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeValidityWarning)
             for t in (0.05, 0.4, 1.2):
-                a = attenuation_decoupled_high_t(spec, zeta, temperature, t)
+                a = math.exp(log_attenuation_decoupled_high_t(spec, zeta, temperature, t))
                 assert a == pytest.approx(math.exp(-t / tau), rel=1e-8)
 
     def test_horizon_and_warning(self):
         spec = CatSpec(mass=1.0, sigma=1.0, d=2.0)
         with pytest.raises(RegimeBreakdownError):
-            attenuation_decoupled_high_t(spec, 0.5, 2.0, 2.0)
+            log_attenuation_decoupled_high_t(spec, 0.5, 2.0, 2.0)
         with pytest.warns(RegimeValidityWarning):
-            attenuation_decoupled_high_t(spec, 0.5, 2.0, 1.0)
+            log_attenuation_decoupled_high_t(spec, 0.5, 2.0, 1.0)
 
     def test_log_form_is_the_exponent(self):
+        # a scalar call is the array's sample, bit for bit; the log stays
+        # finite where a(t) underflows to 0.0
         spec = CatSpec(mass=1.0, sigma=0.01, d=400.0)
         t = np.linspace(0.0, 0.09, 40)
         log_a = log_attenuation_decoupled_high_t(spec, 1.0, 2.0, t)
-        a = attenuation_decoupled_high_t(spec, 1.0, 2.0, t)
-        assert np.array_equal(a, [math.exp(v) for v in log_a])
-        assert np.all(np.isfinite(log_a)) and np.any(a == 0.0)
+        loop = [log_attenuation_decoupled_high_t(spec, 1.0, 2.0, v) for v in t]
+        assert np.array_equal(log_a, loop)
+        assert np.all(np.isfinite(log_a)) and np.any(float_map(math.exp, log_a) == 0.0)
         assert log_attenuation_decoupled_high_t(spec, 0.0, 2.0, 0.7) == 0.0
 
     def test_early_cubic_growth(self):
         # short times: -ln a ~ zeta k T d^2 t^3 / (12 m^2 sigma^4)
         spec = CatSpec(mass=1.0, sigma=1.0, d=2.0)
         zeta, temperature, t = 0.2, 1.5, 1e-3
-        a = attenuation_decoupled_high_t(spec, zeta, temperature, t)
+        log_a = log_attenuation_decoupled_high_t(spec, zeta, temperature, t)
         predicted = zeta * temperature * 4.0 * t ** 3 / 12.0
-        assert -math.log(a) == pytest.approx(predicted, rel=1e-5)
+        assert -log_a == pytest.approx(predicted, rel=1e-5)
 
 
 class TestDefaultGrid:

@@ -8,10 +8,10 @@ import pytest
 from decolab.cat_oscillator import (
     OscillatorSpec,
     attenuation_oscillator,
-    minimum_attenuation,
+    exponent_prefactor,
     revival_times,
 )
-from decolab.cat_free import CatSpec, attenuation_high_t
+from decolab.cat_free import CatSpec, log_attenuation_high_t
 
 # sinh(ln(1 + sqrt(2))) = 1 exactly, so this temperature makes the
 # thermal factor unity and the minimum attenuation exp(-m w d^2 / 2 hbar)
@@ -73,7 +73,7 @@ class TestAttenuation:
 
     def test_bounded_by_minimum_and_one(self):
         spec = OscillatorSpec(mass=1.0, omega=2.0, d=2.5, temperature=0.8)
-        floor = minimum_attenuation(spec)
+        floor = math.exp(-exponent_prefactor(spec))
         a = np.array([attenuation_oscillator(spec, t) for t in np.linspace(0.0, 12.0, 400)])
         assert np.all(a <= 1.0)
         assert np.all(a >= floor - 1e-15)
@@ -95,24 +95,23 @@ class TestAttenuation:
         # small x: 1/sinh ~ 1/x = kT/(hbar w), minimum plunges
         spec = OscillatorSpec(mass=1.0, omega=1.0, d=2.0, temperature=1e2)
         expected = math.exp(-2.0 * 1e2)
-        assert minimum_attenuation(spec) > 0.0
-        assert minimum_attenuation(spec) == pytest.approx(expected, rel=1e-2)
+        assert math.exp(-exponent_prefactor(spec)) > 0.0
+        assert math.exp(-exponent_prefactor(spec)) == pytest.approx(expected, rel=1e-2)
 
 
 class TestMinimumAndRevivals:
     def test_minimum_is_attenuation_at_zero(self):
         spec = OscillatorSpec(mass=0.9, omega=1.4, d=2.2, temperature=1.1)
-        assert minimum_attenuation(spec) == pytest.approx(
+        assert math.exp(-exponent_prefactor(spec)) == pytest.approx(
             attenuation_oscillator(spec, 0.0), rel=1e-14
         )
-        assert minimum_attenuation(spec) == pytest.approx(
+        assert math.exp(-exponent_prefactor(spec)) == pytest.approx(
             attenuation_oscillator(spec, math.pi / spec.omega), rel=1e-12
         )
 
     def test_minimum_decreases_with_separation(self):
-        values = [
-            minimum_attenuation(OscillatorSpec(1.0, 1.0, d, 1.0)) for d in (0.5, 1.0, 2.0, 4.0)
-        ]
+        specs = [OscillatorSpec(1.0, 1.0, d, 1.0) for d in (0.5, 1.0, 2.0, 4.0)]
+        values = [math.exp(-exponent_prefactor(spec)) for spec in specs]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_revival_instants(self):
@@ -138,7 +137,7 @@ def free_particle_gap(spec, delta_t):
     high-temperature law at the ground-state width sigma^2 = hbar / 2 m omega."""
     ground = CatSpec(mass=spec.mass, sigma=math.sqrt(0.5 / (spec.mass * spec.omega)), d=spec.d)
     osc = attenuation_oscillator(spec, math.pi / (2.0 * spec.omega) + delta_t)
-    free = attenuation_high_t(ground, spec.temperature, delta_t)
+    free = np.exp(log_attenuation_high_t(ground, spec.temperature, delta_t))
     return float(np.max(np.abs(osc - free) / free))
 
 

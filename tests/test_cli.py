@@ -433,6 +433,24 @@ class TestRunCommand:
         ratio = float(report.split("c3_deviation = ")[1].split()[0])
         assert math.isfinite(ratio) and ratio <= runner_mod.RATIO_TOL
 
+    def test_wide_free_cat_leaves_the_ratio_identity_to_its_rounding_bound(self, tmp_path, capsys):
+        # d = 1e4 widths: the log-domain terms, about 5e7, cancel to log a = 0
+        # and rounding alone left 1.1e-9 against RATIO_TOL = 1e-10, a FAIL
+        text = "[run]\nmode = free-cat\n[time]\nend = 1.5\nsamples = 16\n[free-cat]\n"
+        cfg = write_cfg(tmp_path, text + "mass = 1\nsigma = 1\nd = 1e4\nregime = free\n"
+                                         "snapshots = 2\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--verify", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "warning: rounding may leave up to 1.56e-07 in the log-domain ratio identity at "
+            "snapshot t = 0 (d/w = 1e+04), above its tolerance 1e-10; left out of "
+            "attenuation_ratio_identity (first of 2 such snapshots)"
+        ]
+        assert "FAIL" not in captured.out and "attenuation_ratio_identity" not in captured.out
+        report = (out / "report.txt").read_text()
+        assert "c2_name = term_time_invariance" in report and "c3_name" not in report
+
     def test_bounds_on_log_attenuation_fail_closed(self):
         at_start = runner_mod._bounds_check(np.array([-0.0, math.log(0.5)]))
         assert at_start.passed and math.copysign(1.0, at_start.deviation) == 1.0
@@ -552,6 +570,33 @@ class TestErrorExits:
         assert err.splitlines()[-1] == (
             "error: packet width w = 1 is below the float spacing of d/2 = 5e+99 at "
             "snapshot t = 0: the quadrature window d/2 +- 10 w holds one float")
+
+    def test_quadrature_window_of_a_few_floats_stops_at_once(self, tmp_path, capsys):
+        # at t = 0, w = 1 beside d/2 = 2.5e15, whose float spacing is 0.5: the
+        # bisection reaches neighbouring floats, where it ran on for about
+        # 20 s to the budget of 10^7 evaluations
+        text = "[run]\nmode = free-cat\n[time]\nend = 1.5\nsamples = 16\n[free-cat]\n"
+        cfg = write_cfg(tmp_path, text + (
+            "mass = 1\nsigma = 1\nd = 5e15\nregime = ohmic-high-t\n"
+            "temperature = 1e300\ngamma = 1\nsnapshots = 3\n"))
+        assert main(["run", cfg, "--verify", "--out", str(tmp_path / "out")]) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert re.fullmatch(
+            r"error: quadrature panel \[-2499999999999\d+\.\d+, -2499999999999\d+\.\d+\] "
+            r"is too narrow to bisect in floating point", last), last
+
+    @pytest.mark.parametrize("regime", ["low-t", "decoupled-high-t\ntemperature = 1"],
+                             ids=["low-t", "decoupled-high-t"])
+    def test_underflowed_gamma_mass_is_an_error_exit(self, tmp_path, capsys, regime):
+        # zeta = gamma m = 1e-400: decoupled-high-t wrote a = 1 throughout,
+        # low-t refused "zeta must be positive, got 0.0", naming no key
+        text = "[run]\nmode = free-cat\n[time]\nend = 1.0\n[free-cat]\n"
+        cfg = write_cfg(
+            tmp_path, text + f"mass = 1e-200\nsigma = 1\nd = 1\ngamma = 1e-200\nregime = {regime}\n"
+        )
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: zeta = gamma * mass underflows to 0 (gamma = 1e-200, mass = 1e-200)\n")
 
     def test_exhausted_quadrature_budget_is_an_error_exit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(runner_mod.oracle, "EVALUATION_BUDGET", 50)

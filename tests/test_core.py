@@ -95,6 +95,16 @@ class TestSpecs:
         override = ReservoirSpec(gamma=0.25, temperature=1.0, zeta=7.0)
         assert override.zeta_for(4.0) == 7.0
 
+    def test_underflowed_gamma_mass_is_refused(self):
+        # zeta = 0 would switch the coupling off silently: decoupled-high-t
+        # returned log a = 0, low-t refused "zeta must be positive"
+        res = ReservoirSpec(gamma=1e-200, temperature=1.0)
+        message = "zeta = gamma * mass underflows to 0 (gamma = 1e-200, mass = 1e-200)"
+        with pytest.raises(RegimeBreakdownError, match=re.escape(message)):
+            res.zeta_for(1e-200)
+        assert ReservoirSpec(gamma=0.0, temperature=1.0).zeta_for(1e-200) == 0.0
+        assert ReservoirSpec(gamma=1e-200, temperature=1.0, zeta=0.5).zeta_for(1e-200) == 0.5
+
 
 class TestThermalDeBroglie:
     def test_natural_unity(self):

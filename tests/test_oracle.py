@@ -105,16 +105,28 @@ class TestQuadrature:
                 integrate_adaptive(lambda x: math.nan if bad(x) else 1.0, 0.0, 1.0, tol=1e-8)
 
     def test_budget_exhaustion(self, monkeypatch):
-        # a discontinuity the refinement can never resolve to 1e-14; a small
-        # budget keeps the test fast, the mechanism is the same
+        # 1,600 periods of a smooth oscillation to 1e-14 take millions of
+        # panels, each far wider than the float spacing; a small budget
+        # keeps the test fast, the mechanism is the same
         import decolab.oracle as oracle_mod
 
         for budget in (2, 3, 500, 501):
             monkeypatch.setattr(oracle_mod, "EVALUATION_BUDGET", budget)
-            f = CountingIntegrand(lambda x: 0.0 if x < math.pi / 10.0 else 1.0)
+            f = CountingIntegrand(math.cos)
             with pytest.raises(ConvergenceError, match=f"budget of {budget} evaluations"):
-                integrate_adaptive(f, 0.0, 1.0, tol=1e-14)
+                integrate_adaptive(f, 0.0, 1e4, tol=1e-14)
             assert f.calls <= budget
+
+    def test_unbisectable_panel_stops_at_once(self):
+        # a step the refinement can never resolve to 1e-14: the panel around
+        # it narrows to neighbouring floats after 159 evaluations, where the
+        # bisection used to run on to the budget of 10^7
+        f = CountingIntegrand(lambda x: 0.0 if x < math.pi / 10.0 else 1.0)
+        panel = r"\[0\.31415926535897\d+, 0\.31415926535897\d+\]"
+        message = rf"^quadrature panel {panel} is too narrow to bisect in floating point$"
+        with pytest.raises(ConvergenceError, match=message):
+            integrate_adaptive(f, 0.0, 1.0, tol=1e-14)
+        assert f.calls < 500
 
     @pytest.mark.parametrize(
         "g, a, b, tol",
