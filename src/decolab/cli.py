@@ -9,6 +9,7 @@ verification check passed.
 """
 
 import argparse
+import ctypes
 import sys
 
 from .config import load_config
@@ -84,8 +85,18 @@ def _cmd_selftest() -> int:
     return 0 if passed == len(results) else 1
 
 
+def _release_free_heap() -> None:
+    """Return the C heap's free pages to the OS (glibc's malloc_trim), so that a
+    command's peak memory does not depend on how earlier work left the heap."""
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if sys.platform == "linux" else None
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+        trim(0)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _release_free_heap()
     try:
         if args.command == "run":
             return _cmd_run(args)
@@ -100,6 +111,8 @@ def main(argv=None) -> int:
         _print_warnings(getattr(exc, "warnings", ()))
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        _release_free_heap()
 
 
 def console_entry() -> None:

@@ -1,5 +1,6 @@
 """End-to-end command-line runs against temporary workspaces."""
 
+import ctypes
 import hashlib
 import math
 import pathlib
@@ -1054,3 +1055,38 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert "report.txt" in proc.stdout
+
+
+class TestHeapRelease:
+    @pytest.mark.skipif(
+        sys.platform != "linux" or not hasattr(ctypes.CDLL(None), "malloc_trim"),
+        reason="reads /proc/self/status; malloc_trim is glibc's",
+    )
+    def test_a_command_leaves_no_freed_memory_resident(self, tmp_path):
+        # a 500,000-sample spin run frees tens of MB of arrays and buffers;
+        # unless main returns them, the C heap keeps about 9 MB resident
+        small = write_cfg(tmp_path, SPIN_CFG, name="small.cfg")
+        big = write_cfg(tmp_path, SPIN_CFG.replace("samples = 33", "samples = 500000"), name="big.cfg")
+        script = textwrap.dedent("""
+            import sys
+            from decolab.cli import main
+
+            def resident_mb():
+                with open("/proc/self/status") as status:
+                    line = next(line for line in status if line.startswith("VmRSS:"))
+                return int(line.split()[1]) / 1024
+
+            small, big, out = sys.argv[1:]
+            main(["run", small, "--out", out + "/small"])  # lazy imports and tables
+            before = resident_mb()
+            main(["run", big, "--out", out + "/big"])
+            print(before, resident_mb())
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, small, big, str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        before, after = map(float, proc.stdout.split()[-2:])
+        assert after - before < 3.0, (before, after)
