@@ -40,7 +40,7 @@ REVIVAL_TOL = 1e-15
 MINIMUM_TOL = 1e-12
 LINDBLAD_TOL = 1e-6
 QUADRATURE_TOL = 1e-9
-GAP_BLOCK = 2048  # states per block of lindblad_bloch_deviation
+GAP_BLOCK = 2048  # rows per block of the closed-form tables and of lindblad_bloch_deviation
 
 
 @dataclass
@@ -52,9 +52,7 @@ class RunReport:
 
     @property
     def passed(self) -> bool:
-        if self.verification is None:
-            return True
-        return all(check.passed for check in self.verification)
+        return self.verification is None or all(check.passed for check in self.verification)
 
 
 @contextmanager
@@ -88,6 +86,11 @@ def _base_meta(config: RunConfig, kind: str) -> dict:
     }
 
 
+def _blocks(array):
+    """Views of array's rows, GAP_BLOCK at a time, in order."""
+    return (array[i:i + GAP_BLOCK] for i in range(0, len(array), GAP_BLOCK))
+
+
 def _write_data(config: RunConfig, stem: str, kind: str, columns: list, rows, **meta) -> str:
     """Write one data table into the output directory in the run's format,
     its metadata the base entries followed by `meta`; returns the file name."""
@@ -95,12 +98,6 @@ def _write_data(config: RunConfig, stem: str, kind: str, columns: list, rows, **
     meta = {**_base_meta(config, kind), **meta}
     write_table(Path(config.output_dir) / name, meta, columns, rows, config.fmt)
     return name
-
-
-def _snapshot_grid(params, w2: float) -> np.ndarray:
-    if params.x_min is not None:
-        return np.linspace(params.x_min, params.x_max, params.x_samples)
-    return cat_free.default_grid(params.cat, w2, params.x_samples)
 
 
 def _run_free_cat(config: RunConfig):
@@ -137,17 +134,21 @@ def _run_free_cat(config: RunConfig):
 
 
 def _write_snapshot(config: RunConfig, kin, i: int, t: float) -> str:
-    """Evaluate and write snapshot i, the cat density at time t; returns the
-    file name.  Its field and table are freed on return, before the next
-    snapshot is evaluated."""
+    """Evaluate and write snapshot i, the cat density at time t, GAP_BLOCK
+    x values at a time; returns the file name.  Its grid and table are
+    freed on return, before the next snapshot is evaluated."""
     params = config.params
     w2 = cat_free.packet_variance(kin, params.cat.sigma, t)
-    field = cat_free.cat_probability(params.cat, kin, t, _snapshot_grid(params, w2))
+    rows = np.empty((params.x_samples, 5))
+    rows[:, 0] = (cat_free.default_grid(params.cat, w2, params.x_samples) if params.x_min is None
+                  else np.linspace(params.x_min, params.x_max, params.x_samples))
+    for block in _blocks(rows):
+        field = cat_free.cat_probability(params.cat, kin, t, block[:, 0])
+        block[:, 1:] = np.column_stack([field.total, field.p1, field.p2, field.interference])
     columns = ["x", "P_total", "P1", "P2", "P_interference_term"]
-    rows = np.column_stack([field.x, field.total, field.p1, field.p2, field.interference])
     return _write_data(
         config, f"catfield_{i:02d}", "cat-field", columns, rows,
-        regime=params.regime, time=format_float(t), w2=format_float(field.w2),
+        regime=params.regime, time=format_float(t), w2=format_float(w2),
     )
 
 
@@ -206,22 +207,26 @@ def ratio_identity_deviation(spec: CatSpec, kin, t: float) -> tuple[float, float
     return (gap / exact if exact > 1e-100 else gap), 0.0
 
 
+def _bloch_blocks(spec, p0, times, constants: PhysicalConstants):
+    """Yield the closed-form polarization and density matrices (P, rho) at each of `_blocks(times)`."""
+    for block in _blocks(times):
+        p = spin_bloch.bloch_evolve(spec, p0, block, constants)
+        yield p, spin_bloch.density_from_polarization(p)
+
+
 def lindblad_bloch_deviation(
     spec, initial_polarization, t_end: float, dt: float, constants: PhysicalConstants = NATURAL
 ) -> float:
     """Max entrywise gap between the integrated master equation and the
     closed-form Bloch solution, over every recorded sample (NaN if any
-    gap is NaN).  The closed form is built and compared GAP_BLOCK states
-    at a time, so beside the trajectory it costs one block, not its length."""
+    gap is NaN).  The closed form is built and compared block by block
+    (`_bloch_blocks`), so beside the trajectory it costs one block."""
     p0 = np.asarray(initial_polarization, dtype=float)
     rho0 = spin_bloch.density_from_polarization(p0)
     traj = oracle.integrate_lindblad(spec, rho0, t_end, dt, constants)
     block_maxima = []
-    for i in range(0, len(traj.times), GAP_BLOCK):
-        gap = spin_bloch.density_from_polarization(
-            spin_bloch.bloch_evolve(spec, p0, traj.times[i:i + GAP_BLOCK], constants)
-        )
-        gap -= traj.states[i:i + GAP_BLOCK]  # in place: no third block array
+    for (_, gap), states in zip(_bloch_blocks(spec, p0, traj.times, constants), _blocks(traj.states)):
+        gap -= states  # in place: no third block array
         block_maxima.append(np.max(np.abs(gap)))
     return float(np.max(block_maxima))  # np.max keeps a NaN, where Python's max can drop it
 
@@ -290,16 +295,14 @@ def _run_oscillator(config: RunConfig):
                 f"above the cap of {MAX_SAMPLES}; set n_revivals"
             )
         n = int(count)
-    times = _time_grid(config)
-
-    curve = cat_oscillator.attenuation_oscillator(spec, times, constants)
-    rows = np.column_stack([times, curve])
+    rows = np.empty((config.n_samples, 2))
+    rows[:, 0] = _time_grid(config)
+    for block in _blocks(rows):
+        block[:, 1] = cat_oscillator.attenuation_oscillator(spec, block[:, 0], constants)
     files = [_write_data(config, "attenuation", "attenuation-curve", ["t", "a"], rows)]
 
     revivals = cat_oscillator.revival_times(spec, n)
-    files.append(
-        _write_data(config, "revivals", "revival-times", ["t_revival"], revivals.reshape(-1, 1))
-    )
+    files.append(_write_data(config, "revivals", "revival-times", ["t_revival"], revivals[:, None]))
 
     checks = None
     if config.verify:
@@ -326,17 +329,14 @@ def _run_spin(config: RunConfig):
     params = config.params
     spec = params.spec
     constants = config.constants
-    times = _time_grid(config)
-
-    initial = np.array(params.initial)
-    p = spin_bloch.bloch_evolve(spec, initial, times, constants)
-    rho = spin_bloch.density_from_polarization(p)
-    # np.hypot rounds as the scalar abs() of a complex does; numpy's
-    # vectorised complex abs does not, and the written columns are pinned
-    rows = np.column_stack([
-        times, p, rho[:, 0, 0].real, rho[:, 1, 1].real,
-        np.hypot(rho[:, 0, 1].real, rho[:, 0, 1].imag),
-    ])
+    rows = np.empty((config.n_samples, 7))
+    rows[:, 0] = _time_grid(config)
+    closed_form = _bloch_blocks(spec, params.initial, rows[:, 0], constants)
+    for block, (p, rho) in zip(_blocks(rows), closed_form):
+        block[:, 1:4], block[:, 4], block[:, 5] = p, rho[:, 0, 0].real, rho[:, 1, 1].real
+        # np.hypot rounds as the scalar abs() of a complex does; numpy's
+        # vectorised complex abs does not, and the written columns are pinned
+        block[:, 6] = np.hypot(rho[:, 0, 1].real, rho[:, 0, 1].imag)
     columns = ["t", "P_x", "P_y", "P_z", "rho_pp", "rho_mm", "abs_rho_pm"]
     files = [_write_data(config, "bloch_trajectory", "bloch-trajectory", columns, rows)]
 
@@ -358,7 +358,7 @@ def _run_spin(config: RunConfig):
     checks = None
     if config.verify:
         dt = min(t1, config.t_end) / 400.0
-        dev = lindblad_bloch_deviation(spec, initial, config.t_end, dt, constants)
+        dev = lindblad_bloch_deviation(spec, params.initial, config.t_end, dt, constants)
         checks = [Check("lindblad_vs_analytic", dev, LINDBLAD_TOL)]
     return files, checks
 

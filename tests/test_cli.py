@@ -969,6 +969,54 @@ class TestMultiChunkRuns:
         assert three <= 1.1 * one, (three, one)
 
 
+# the runs whose tables runner fills GAP_BLOCK rows at a time, as configs of n
+# rows: a spin trajectory, snapshots on the default and on an x_min/x_max grid
+# (n points each), and an oscillator curve
+BLOCK_FILLED_CFGS = {
+    "spin": lambda n: SPIN_CFG.replace("samples = 33", f"samples = {n}"),
+    "snapshot": lambda n: FREE_CFG.replace("x_samples = 512", f"x_samples = {n}"),
+    "snapshot-x-range": lambda n: FREE_CFG.replace("x_samples = 512", f"x_samples = {n}")
+    + "    x_min = -3.0\n    x_max = 3.0\n",
+    "oscillator": lambda n: OSC_CFG.replace("samples = 101", f"samples = {n}"),
+}
+
+
+class TestBlockFilledTables:
+    @pytest.mark.parametrize("n", [20, 21, 22])  # one below, at and one above 3 blocks of 7
+    @pytest.mark.parametrize("name", sorted(BLOCK_FILLED_CFGS))
+    def test_block_boundaries_write_the_same_bytes(self, tmp_path, monkeypatch, name, n):
+        cfg = write_cfg(tmp_path, BLOCK_FILLED_CFGS[name](n))
+
+        def written(out):
+            assert main(["run", cfg, "--verify", "--out", str(out)]) == 0
+            return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+        one_block = written(tmp_path / "one")
+        monkeypatch.setattr(runner_mod, "GAP_BLOCK", 7)
+        assert written(tmp_path / "blocks") == one_block
+
+    @pytest.mark.parametrize("name, limit", [
+        ("spin", 90), ("snapshot", 70), ("oscillator", 30),
+    ])
+    def test_run_peaks_near_its_table(self, tmp_path, name, limit):
+        # a run holds its table (8 bytes per cell: 56, 40 and 16 per row),
+        # its grid (8 per row, copied into the table's first column) and one
+        # block each of the closed form and of write_table's formatting
+        def traced_peak(n):
+            cfg = write_cfg(tmp_path, BLOCK_FILLED_CFGS[name](n), name=f"{n}.cfg")
+            tracemalloc.start()
+            try:
+                assert main(["run", cfg, "--out", str(tmp_path / f"out{n}")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(100)  # warm-up: lazy imports and caches of a first run
+        rows = 200_000
+        peak = traced_peak(rows)
+        assert peak <= limit * rows, peak / rows
+
+
 # 80,000-sample free-cat runs whose grid passes a regime's bound: half of the
 # ohmic-high-t grid lies past its window's end at 1/gamma = 1, and nearly all
 # of the decoupled grid past m/zeta / 10 = 0.1, where its law warns; data
@@ -1063,10 +1111,10 @@ class TestHeapRelease:
         reason="reads /proc/self/status; malloc_trim is glibc's",
     )
     def test_a_command_leaves_no_freed_memory_resident(self, tmp_path):
-        # a 500,000-sample spin run frees tens of MB of arrays and buffers;
-        # unless main returns them, the C heap keeps about 9 MB resident
-        small = write_cfg(tmp_path, SPIN_CFG, name="small.cfg")
-        big = write_cfg(tmp_path, SPIN_CFG.replace("samples = 33", "samples = 500000"), name="big.cfg")
+        # a 500,000-sample free-cat curve frees tens of MB of arrays and
+        # buffers; unless main returns them, the C heap keeps about 5 MB resident
+        small = write_cfg(tmp_path, FREE_CFG, name="small.cfg")
+        big = write_cfg(tmp_path, FREE_CFG.replace("samples = 41", "samples = 500000"), name="big.cfg")
         script = textwrap.dedent("""
             import sys
             from decolab.cli import main
