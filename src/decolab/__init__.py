@@ -45,7 +45,6 @@ from .cat_free import (
     ohmic_high_t_kinematics,
     packet_variance,
     single_packet_prob,
-    tabulated_kinematics,
 )
 from .cat_oscillator import (
     OscillatorSpec,

@@ -110,13 +110,6 @@ def _constant_like(t, value: float):
     return np.full(np.shape(t), value) if np.ndim(t) else value
 
 
-def _interpolator(times: np.ndarray, values: np.ndarray):
-    def at(t):
-        out = np.interp(t, times, values)
-        return out if np.ndim(out) else float(out)
-    return at
-
-
 def free_kinematics(mass: float, constants: PhysicalConstants = NATURAL) -> ReservoirKinematics:
     """Isolated particle: c(t) = hbar t / m, s(t) = 0."""
     require_positive("mass", mass)
@@ -157,41 +150,6 @@ def ohmic_high_t_kinematics(
         s=lambda t: kt_over_m * t * t,
         validity=(0.0, upper),
         label="ohmic-high-t",
-    )
-
-
-def tabulated_kinematics(
-    times: np.ndarray,
-    c_values: np.ndarray,
-    s_values: np.ndarray,
-    label: str = "tabulated",
-) -> ReservoirKinematics:
-    """Kinematics from sampled (t, c, s) tables, linearly interpolated.
-
-    The tables must start at t = 0 with c = s = 0 and keep s >= 0; the
-    validity window is the tabulated range.
-    """
-    times = np.asarray(times, dtype=float)
-    c_values = np.asarray(c_values, dtype=float)
-    s_values = np.asarray(s_values, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise ValueError(f"need at least two samples, got times of shape {times.shape}")
-    if times.shape != c_values.shape or times.shape != s_values.shape:
-        raise ValueError(
-            "times, c_values, s_values must have matching shapes, got "
-            f"{times.shape}, {c_values.shape}, {s_values.shape}"
-        )
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
-    if times[0] != 0.0:
-        raise ValueError("tables must start at t = 0")
-    if np.any(s_values < 0):
-        raise ValueError("mean-square displacement samples must be non-negative")
-    return ReservoirKinematics(
-        c=_interpolator(times, c_values),
-        s=_interpolator(times, s_values),
-        validity=(0.0, float(times[-1])),
-        label=label,
     )
 
 

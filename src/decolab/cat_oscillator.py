@@ -21,6 +21,7 @@ import numpy as np
 from .core import (
     NATURAL,
     PhysicalConstants,
+    RegimeBreakdownError,
     fail_closed,
     float_map,
     require_finite,
@@ -69,9 +70,15 @@ def attenuation_oscillator(
 
     t may be a float or an array of times; an array gives, bit for bit,
     what a loop of scalar calls would (cos and exp run per sample).
+    RegimeBreakdownError names the first t where omega t overflows.
     """
     x = constants.hbar * spec.omega / (constants.k_boltzmann * spec.temperature)
-    cos_wt = float_map(math.cos, spec.omega * t)
+    with np.errstate(over="ignore"):
+        wt = spec.omega * t
+    if not np.all(np.isfinite(wt)):
+        t_bad = float(np.ravel(t)[np.argmin(np.isfinite(np.ravel(wt)))])
+        raise RegimeBreakdownError(f"omega t overflows at t = {t_bad:g} (omega = {spec.omega:g})")
+    cos_wt = float_map(math.cos, wt)
     expo = (
         -spec.mass * spec.omega * spec.d ** 2 * cos_wt * cos_wt
         / (2.0 * constants.hbar)

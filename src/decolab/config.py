@@ -63,8 +63,14 @@ class FreeCatParams:
         x_max = sec.get_float("x_max")
         if (x_min is None) != (x_max is None):
             raise ConfigError(f"[{sec.name}] x_min and x_max must be given together")
-        if x_min is not None and not x_min < x_max:
-            raise ConfigError(f"[{sec.name}] needs x_min < x_max, got [{x_min}, {x_max}]")
+        if x_min is not None:
+            if not x_min < x_max:
+                raise ConfigError(f"[{sec.name}] needs x_min < x_max, got [{x_min}, {x_max}]")
+            # the density squares x -+ d/2, largest in size at an end of the grid
+            edge = max(abs(x_min), abs(x_max)) + cat.d / 2.0
+            if x_max - x_min == math.inf or edge * edge == math.inf:
+                raise ConfigError(f"[{sec.name}] x_min = {x_min} and x_max = {x_max} leave the float "
+                                  f"range: the span or (|x| + d/2)^2 overflows (d = {cat.d})")
 
         snapshots = sec.get_int("snapshots", default=5, maximum=MAX_SAMPLES)
         if snapshots < 0:

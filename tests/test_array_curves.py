@@ -21,7 +21,6 @@ from decolab.cat_free import (
     log_attenuation_low_t,
     ohmic_high_t_kinematics,
     packet_variance,
-    tabulated_kinematics,
 )
 from decolab.cat_oscillator import OscillatorSpec, attenuation_oscillator
 from decolab.core import CGS, NATURAL, CatSpec, RegimeValidityWarning
@@ -90,6 +89,17 @@ def assert_matches_loop(fn, times):
     return array, distinct
 
 
+def sampled(nodes, c_values, s_values, label="custom"):
+    """Kinematics whose c and s interpolate sampled nodes linearly, valid up
+    to the last node: a caller's own closures, taking a float or an array."""
+    return ReservoirKinematics(
+        c=lambda t: np.interp(t, nodes, c_values),
+        s=lambda t: np.interp(t, nodes, s_values),
+        validity=(0.0, float(nodes[-1])),
+        label=label,
+    )
+
+
 def ohmic(gamma=0.01, temperature=1.5):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeValidityWarning)
@@ -102,8 +112,7 @@ class TestAttenuationExact:
         free_kinematics(CAT.mass, CGS),
         ohmic(),
         ohmic(gamma=0.0, temperature=40.0),
-        tabulated_kinematics(np.linspace(0.0, 1.0, 37), np.linspace(0.0, 0.6, 37),
-                             np.linspace(0.0, 1.0, 37) ** 2),
+        sampled(np.linspace(0.0, 1.0, 37), np.linspace(0.0, 0.6, 37), np.linspace(0.0, 1.0, 37) ** 2),
     ], ids=["free", "free-cgs", "ohmic-high-t", "ohmic-hot", "tabulated"])
     def test_array_equals_scalar_loop(self, kin):
         curve, _ = assert_matches_loop(lambda t: log_attenuation_exact(CAT, kin, t), TIMES)
@@ -122,7 +131,7 @@ class TestAttenuationExact:
                             "ohmic-high-t kinematics (first of 41 such times)"]
 
     def test_tabulated_past_its_end(self):
-        kin = tabulated_kinematics([0.0, 0.5], [0.0, 0.2], [0.0, 0.4], label="short")
+        kin = sampled([0.0, 0.5], [0.0, 0.2], [0.0, 0.4], label="short")
         _, distinct = assert_matches_loop(
             lambda t: log_attenuation_exact(CAT, kin, t), np.linspace(0.0, 1.0, 11)
         )

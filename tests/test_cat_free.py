@@ -38,7 +38,6 @@ from decolab.cat_free import (
     packet_variance,
     resolvable_overlap,
     single_packet_prob,
-    tabulated_kinematics,
 )
 from decolab import runner
 from decolab.oracle import integrate_adaptive
@@ -91,42 +90,6 @@ class TestKinematics:
             ReservoirKinematics(c=lambda t: 1.0, s=lambda t: 0.0, label="bad c")
         with pytest.raises(ValueError):
             ReservoirKinematics(c=lambda t: 0.0, s=lambda t: 0.5, label="bad s")
-
-
-class TestTabulatedKinematics:
-    def test_matches_nodes_and_interpolates(self):
-        times = np.linspace(0.0, 2.0, 9)
-        kin = tabulated_kinematics(times, 0.5 * times, times ** 2, label="table")
-        assert kin.c(0.25) == pytest.approx(0.125, rel=1e-14)
-        # linear interpolation of t^2 between nodes, exact at nodes
-        assert kin.s(0.5) == pytest.approx(0.25, rel=1e-14)
-        mid = kin.s(0.625)
-        assert mid == pytest.approx(0.5 * (0.25 + 0.5625), rel=1e-14)
-
-    def test_tracks_analytic_table_closely(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RegimeValidityWarning)
-            exact = ohmic_high_t_kinematics(mass=1.0, temperature=2.0, gamma=0.0)
-        times = np.linspace(0.0, 1.0, 4001)
-        tab = tabulated_kinematics(times, times, 2.0 * times ** 2, label="dense")
-        spec = CatSpec(mass=1.0, sigma=1.0, d=3.0)
-        for t in (0.1, 0.37, 0.9):
-            a_tab = math.exp(log_attenuation_exact(spec, tab, t))
-            a_ref = math.exp(log_attenuation_exact(spec, exact, t))
-            assert a_tab == pytest.approx(a_ref, rel=1e-6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            tabulated_kinematics([0.5, 1.0], [0.5, 1.0], [0.0, 0.0], label="t0")
-        with pytest.raises(ValueError):
-            tabulated_kinematics([0.0, 1.0, 0.5], [0.0, 1.0, 0.5], [0.0, 0.0, 0.0], label="order")
-        with pytest.raises(ValueError):
-            tabulated_kinematics([0.0, 1.0], [0.0, 1.0], [0.0, -1.0], label="neg s")
-
-    def test_warns_past_table_end(self):
-        kin = tabulated_kinematics([0.0, 1.0], [0.0, 1.0], [0.0, 0.5], label="short")
-        with pytest.warns(RegimeValidityWarning):
-            kin.check_time(1.5)
 
 
 class TestPacketVariance:
@@ -651,10 +614,6 @@ class TestDefaultGrid:
     (lambda: ohmic_high_t_kinematics(-1.0, 1.0, 0.0), "mass must be positive, got -1.0"),
     (lambda: ohmic_high_t_kinematics(1.0, 0.0, 0.0), "temperature must be positive, got 0.0"),
     (lambda: ohmic_high_t_kinematics(1.0, 1.0, -0.5), "gamma must be non-negative, got -0.5"),
-    (lambda: tabulated_kinematics([0.0], [0.0], [0.0]),
-     "need at least two samples, got times of shape (1,)"),
-    (lambda: tabulated_kinematics([0.0, 1.0], [0.0, 1.0, 2.0], [0.0, 1.0]),
-     "matching shapes, got (2,), (3,), (2,)"),
     (lambda: packet_variance(free_kinematics(1.0), 0.0, 1.0), "sigma must be positive, got 0.0"),
     (lambda: normalization_constant(-1.0, 1.0), "sigma must be positive, got -1.0"),
     (lambda: normalization_constant(1.0, -2.0), "separation d must be non-negative, got -2.0"),
@@ -668,8 +627,8 @@ class TestDefaultGrid:
     (lambda: log_attenuation_decoupled_high_t(CatSpec(1.0, 1.0, 1.0), 1.0, 0.0, 0.1),
      "temperature must be positive, got 0.0"),
 ], ids=[
-    "validity", "free-mass", "ohmic-mass", "ohmic-temperature", "ohmic-gamma", "table-size",
-    "table-shapes", "variance-sigma", "norm-sigma", "norm-d", "spec-d", "tau-d-temperature", "tau-d-separation",
+    "validity", "free-mass", "ohmic-mass", "ohmic-temperature", "ohmic-gamma",
+    "variance-sigma", "norm-sigma", "norm-d", "spec-d", "tau-d-temperature", "tau-d-separation",
     "tau-0-zeta", "tau-0-separation", "decoupled-zeta", "decoupled-temperature",
 ])
 def test_refusal_names_the_bad_value(call, message):

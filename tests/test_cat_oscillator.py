@@ -1,6 +1,7 @@
 """Superposition in a harmonic trap: periodic attenuation and revivals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from decolab.cat_oscillator import (
     revival_times,
 )
 from decolab.cat_free import CatSpec, log_attenuation_high_t
+from decolab.core import RegimeBreakdownError
 
 # sinh(ln(1 + sqrt(2))) = 1 exactly, so this temperature makes the
 # thermal factor unity and the minimum attenuation exp(-m w d^2 / 2 hbar)
@@ -90,6 +92,19 @@ class TestAttenuation:
         a = attenuation_oscillator(spec, 0.2)
         assert math.isfinite(a)
         assert 0.0 < a <= 1.0
+
+    @pytest.mark.parametrize("t, first", [
+        (1e300, "1e+300"),
+        (np.array([0.0, 1.0, 1e299, 2e300]), "1e+299"),
+    ], ids=["float", "array"])
+    def test_overflowing_omega_t_names_omega_and_the_first_time(self, t, first):
+        # math.cos(inf) raised a bare "math domain error" naming neither
+        spec = OscillatorSpec(mass=1.0, omega=1e10, d=1.0, temperature=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning before the error
+            with pytest.raises(RegimeBreakdownError) as info:
+                attenuation_oscillator(spec, t)
+        assert str(info.value) == f"omega t overflows at t = {first} (omega = 1e+10)"
 
     def test_hot_bath_decoheres_deeply(self):
         # small x: 1/sinh ~ 1/x = kT/(hbar w), minimum plunges

@@ -130,6 +130,14 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def error_output(capsys) -> str:
+    """stderr of an error exit, which no bare numpy warning
+    ("overflow encountered in multiply", say) may reach."""
+    err = capsys.readouterr().err
+    assert "encountered in" not in err
+    return err
+
+
 class TestRunCommand:
     def test_spin_run_writes_outputs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SPIN_CFG)
@@ -502,34 +510,34 @@ class TestRunCommand:
 class TestErrorExits:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert "config error" in error_output(capsys)
 
     def test_infinite_mass_is_refused(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FREE_CFG.replace("mass = 1.0", "mass = inf"))
         out = tmp_path / "out"
         assert main(["run", cfg, "--verify", "--out", str(out)]) == 2
-        assert "[free-cat] mass = 'inf' is not a finite number" in capsys.readouterr().err
+        assert "[free-cat] mass = 'inf' is not a finite number" in error_output(capsys)
         assert not (out / "report.txt").exists()
 
     def test_negative_mass_is_a_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FREE_CFG.replace("mass = 1.0", "mass = -1.0"))
         out = tmp_path / "out"
         assert main(["run", cfg, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
+        err = error_output(capsys)
         assert err == "config error: [free-cat] mass must be positive, got -1.0\n"
         assert not out.exists()
 
     def test_invalid_config(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[run]\nmode = unknown-thing\n")
         assert main(["run", cfg]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert "config error" in error_output(capsys)
 
     def test_warnings_of_a_failed_run_print_before_the_error(self, tmp_path, capsys):
         # the bath warns that kT/(hbar gamma) is not large, then sigma^2
         # underflows to 0 and the run raises
         cfg = write_cfg(tmp_path, UNDERFLOW_CFG)
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err.splitlines()
+        err = error_output(capsys).splitlines()
         assert len(err) == 2
         assert err[0].startswith("warning: kT/(hbar gamma) = 1 is not large")
         assert err[1] == "error: packet width sigma = 1e-200 underflows to 0 when squared"
@@ -539,6 +547,7 @@ class TestErrorExits:
         assert main(["run", write_cfg(tmp_path, FREE_CFG), "--out", str(out)]) == 0
         assert "status = pass" in (out / "report.txt").read_text()
         assert main(["run", write_cfg(tmp_path, UNDERFLOW_CFG, "bad.cfg"), "--out", str(out)]) == 2
+        error_output(capsys)
         assert not (out / "report.txt").exists()
 
     @pytest.mark.parametrize("cat, message", [
@@ -555,7 +564,7 @@ class TestErrorExits:
         cfg = write_cfg(tmp_path, text + cat + "\nregime = free\nsnapshots = 2\n")
         out = tmp_path / "out"
         assert main(["run", cfg, "--out", str(out), *verify]) == 2
-        assert capsys.readouterr().err == message + "\n"  # no numpy warning before it
+        assert error_output(capsys) == message + "\n"  # no numpy warning before it
         assert not out.exists() or list(out.iterdir()) == []
 
     def test_collapsed_quadrature_window_names_the_packet_width(self, tmp_path, capsys):
@@ -566,7 +575,7 @@ class TestErrorExits:
             "mass = 1\nsigma = 1\nd = 1e100\nregime = ohmic-high-t\n"
             "temperature = 1e300\ngamma = 1\nsnapshots = 3\n"))
         assert main(["run", cfg, "--verify", "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
+        err = error_output(capsys)
         assert "need b > a" not in err
         assert err.splitlines()[-1] == (
             "error: packet width w = 1 is below the float spacing of d/2 = 5e+99 at "
@@ -581,7 +590,7 @@ class TestErrorExits:
             "mass = 1\nsigma = 1\nd = 5e15\nregime = ohmic-high-t\n"
             "temperature = 1e300\ngamma = 1\nsnapshots = 3\n"))
         assert main(["run", cfg, "--verify", "--out", str(tmp_path / "out")]) == 2
-        last = capsys.readouterr().err.splitlines()[-1]
+        last = error_output(capsys).splitlines()[-1]
         assert re.fullmatch(
             r"error: quadrature panel \[-2499999999999\d+\.\d+, -2499999999999\d+\.\d+\] "
             r"is too narrow to bisect in floating point", last), last
@@ -596,14 +605,14 @@ class TestErrorExits:
             tmp_path, text + f"mass = 1e-200\nsigma = 1\nd = 1\ngamma = 1e-200\nregime = {regime}\n"
         )
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.endswith(
+        assert error_output(capsys).endswith(
             "error: zeta = gamma * mass underflows to 0 (gamma = 1e-200, mass = 1e-200)\n")
 
     def test_exhausted_quadrature_budget_is_an_error_exit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(runner_mod.oracle, "EVALUATION_BUDGET", 50)
         cfg = str(pathlib.Path(__file__).parent.parent / "configs" / "free_cat.cfg")
         assert main(["run", cfg, "--out", str(tmp_path / "out"), "--verify"]) == 2
-        err = capsys.readouterr().err
+        err = error_output(capsys)
         assert err.endswith("error: quadrature exhausted its budget of 50 evaluations\n")
         assert not (tmp_path / "out" / "report.txt").exists()
 
@@ -612,7 +621,7 @@ class TestErrorExits:
         cfg = write_cfg(tmp_path, OSC_CFG.replace("end = 10.0", "end = 1e8"))
         out = tmp_path / "out"
         assert main(["run", cfg, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
+        assert error_output(capsys) == (
             "config error: end = 1e+08 and omega = 2 hold 63661977 revivals, "
             "above the cap of 10000000; set n_revivals\n"
         )
@@ -623,7 +632,7 @@ class TestErrorExits:
         text = OSC_CFG.replace("end = 10.0", "end = 2.0e275").replace("omega = 2.0", "omega = 7.6e152")
         out = tmp_path / "out"
         assert main(["run", write_cfg(tmp_path, text), "--verify", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
+        assert error_output(capsys) == (
             "config error: end = 2e+275 and omega = 7.6e+152 hold inf revivals, "
             "above the cap of 10000000; set n_revivals\n"
         )
@@ -634,7 +643,33 @@ class TestErrorExits:
         text = OSC_CFG.replace("omega = 2.0", "omega = 1e-300").replace(
             "temperature = 0.7", "temperature = 1e300")
         assert main(["run", write_cfg(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == "error: hbar omega / kT must be positive, got 0.0\n"
+        assert error_output(capsys) == "error: hbar omega / kT must be positive, got 0.0\n"
+
+    @pytest.mark.parametrize("x_min, x_max", [("-1e308", "1.7e308"), ("1e200", "2e200")],
+                             ids=["span", "square"])
+    def test_x_grid_past_the_float_range_is_a_config_error(self, tmp_path, capsys, x_min, x_max):
+        # the span overflowed, and --verify passed a snapshot of 9,999 nan or
+        # inf rows; squares of 1e200 overflowed, writing zeros after a numpy warning
+        text = "[run]\nmode = free-cat\n[time]\nend = 1\nsamples = 16\n[free-cat]\n"
+        cfg = write_cfg(tmp_path, text + "mass = 1\nsigma = 1\nd = 3\nregime = free\nsnapshots = 2\n"
+                        f"x_samples = 10000\nx_min = {x_min}\nx_max = {x_max}\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--verify", "--out", str(out)]) == 2
+        assert error_output(capsys) == (
+            f"config error: [free-cat] x_min = {float(x_min)} and x_max = {float(x_max)} leave "
+            "the float range: the span or (|x| + d/2)^2 overflows (d = 3.0)\n")
+        assert not out.exists()
+
+    def test_overflowing_omega_t_is_named(self, tmp_path, capsys):
+        # omega t = inf from the second sample on, where math.cos ended the
+        # run with "math domain error" after a numpy warning
+        text = "[run]\nmode = oscillator-cat\n[time]\nend = 1e300\nsamples = 16\n[oscillator-cat]\n"
+        cfg = write_cfg(tmp_path, text + (
+            "mass = 1e100\nomega = 1e10\nd = 1e100\ntemperature = 1e-5\nn_revivals = 2\n"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--verify", "--out", str(out)]) == 2
+        assert error_output(capsys) == "error: omega t overflows at t = 6.66667e+298 (omega = 1e+10)\n"
+        assert not (out / "attenuation.csv").exists()
 
     def test_lindblad_step_budget_is_an_error_exit(self, tmp_path, capsys):
         # about 1.6e9 RK4 steps at min(T1, end)/400: refused before the first
@@ -642,7 +677,7 @@ class TestErrorExits:
         cfg = write_cfg(tmp_path, text.replace("end = 4.0", "end = 1e6"))
         out = tmp_path / "out"
         assert main(["run", cfg, "--out", str(out), "--verify"]) == 2
-        err = capsys.readouterr().err
+        err = error_output(capsys)
         assert re.fullmatch(
             r"error: t_end = 1e\+06 in steps of dt = \S+ takes \S+ RK4 steps, "
             r"above the budget of 1000000\n", err
@@ -652,7 +687,7 @@ class TestErrorExits:
     def test_compare_regimes_rejects_spin(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SPIN_CFG)
         assert main(["compare-regimes", cfg]) == 2
-        assert "free-cat" in capsys.readouterr().err
+        assert "free-cat" in error_output(capsys)
 
 
 class TestCompareRegimes:

@@ -10,10 +10,6 @@ import decolab
 
 PACKAGE = pathlib.Path(decolab.__file__).parent
 
-# the free-cat density route of ROADMAP item 3 feeds its fluctuation-
-# dissipation s(t) through it; until then only tests call it
-AWAITING_A_CALLER = {"tabulated_kinematics"}
-
 READ_OUTSIDE_THE_PACKAGE = {
     # perfbench's tracer counts the integrand evaluations of each quadrature
     "QuadratureResult.evaluations",
@@ -41,8 +37,7 @@ def test_every_public_definition_has_a_caller_in_the_package():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
         and everywhere[node.name] == reads(node)[node.name]  # read only inside itself
     ]
-    # an exemption goes once its name gains a caller
-    assert sorted(unreferenced) == sorted(AWAITING_A_CALLER), unreferenced
+    assert unreferenced == []
 
 
 def test_every_declared_field_is_read_in_the_package():
