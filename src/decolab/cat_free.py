@@ -306,9 +306,12 @@ def cat_probability(
     else:
         x_grid = np.asarray(x_grid, dtype=float)
     half_d = spec.d / 2.0
-    p1 = coef.n2 * single_packet_prob(coef.w2, x_grid - half_d)
-    p2 = coef.n2 * single_packet_prob(coef.w2, x_grid + half_d)
-    envelope = coef.n2 * coef.envelope_factor * single_packet_prob(coef.w2, x_grid)
+    # far out on a wide grid x^2 / 2 w^2 overflows where the density
+    # rightly underflows to 0; the phase below stays unguarded
+    with np.errstate(over="ignore"):
+        p1 = coef.n2 * single_packet_prob(coef.w2, x_grid - half_d)
+        p2 = coef.n2 * single_packet_prob(coef.w2, x_grid + half_d)
+        envelope = coef.n2 * coef.envelope_factor * single_packet_prob(coef.w2, x_grid)
     interference = envelope * np.cos(coef.phase_slope * x_grid)
     return CatField(
         x=x_grid, w2=coef.w2,

@@ -1,11 +1,12 @@
 """Command-line interface.
 
-    decolab run <config> [--verify] [--out DIR] [--format FMT]
+    decolab run <config> [--verify] [--out DIR]
     decolab compare-regimes <config>
     decolab selftest
 
-Exit status is zero only when every file was written and every enabled
-verification check passed.
+The data-file format is the config's `[run] format`; verification is
+asked for by `--verify` alone.  Exit status is zero only when every file
+was written and every enabled verification check passed.
 """
 
 import argparse
@@ -14,7 +15,6 @@ import sys
 
 from .config import load_config
 from .core import ConfigError, ConvergenceError
-from .output import FORMATS
 from .runner import compare_regimes, recorded_warnings, run
 from .selftest import run_selftest
 
@@ -28,12 +28,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="evaluate a config and write its outputs")
     p_run.add_argument("config", help="path to a run configuration file")
-    p_run.add_argument("--verify", action="store_true", default=None,
+    p_run.add_argument("--verify", action="store_true",
                        help="enable the oracle cross-checks for this run")
     p_run.add_argument("--out", default=None, metavar="DIR",
                        help="override the configured output directory")
-    p_run.add_argument("--format", default=None, choices=FORMATS, dest="fmt",
-                       help="override the configured data-file format")
 
     p_cmp = sub.add_parser("compare-regimes",
                            help="tabulate entangled vs decoupled high-T decay side by side")
@@ -57,9 +55,7 @@ def _print_warnings(texts) -> None:
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config).with_overrides(
-        verify=args.verify, output_dir=args.out, fmt=args.fmt
-    )
+    config = load_config(args.config).with_overrides(verify=args.verify, output_dir=args.out)
     report = run(config)
     print(f"wrote {len(report.files)} file(s) + report.txt to {report.output_dir}")
     _print_warnings(report.warnings)

@@ -6,7 +6,9 @@ same name.  [time] fixes the sampling grid.  Unknown sections or keys are
 rejected rather than ignored so typos fail loudly, and every validation
 error names the offending section and key.  Each mode's params class
 carries its name and parser (MODES maps one to the other); RunConfig.params
-holds the parsed block, and RunConfig.mode is read from its class.
+holds the parsed block, and RunConfig.mode is read from its class.  [run]
+also sets unit_system, format and output_dir; verification is not a config
+key but is asked for on the command line (`run --verify`).
 """
 
 import configparser
@@ -146,13 +148,13 @@ MODES = {params.mode: params for params in (FreeCatParams, OscillatorParams, Spi
 class RunConfig:
     params: FreeCatParams | OscillatorParams | SpinParams
     unit_system: str
-    verify: bool
     fmt: str
     output_dir: str
     t_start: float
     t_end: float
     n_samples: int
     source_text: str
+    verify: bool = False  # set by `run --verify` through with_overrides
 
     @property
     def mode(self) -> str:
@@ -175,10 +177,10 @@ class RunConfig:
             names = " or ".join(map(repr, UNIT_SYSTEMS))
             raise ConfigError(f"unit_system must be {names}, got {self.unit_system!r}")
 
-    def with_overrides(self, verify=None, output_dir=None, fmt=None) -> "RunConfig":
+    def with_overrides(self, verify=None, output_dir=None) -> "RunConfig":
         """Apply the command-line overrides that were given (not None) without
         touching the config identity."""
-        given = {"verify": verify, "output_dir": output_dir, "fmt": fmt}
+        given = {"verify": verify, "output_dir": output_dir}
         return replace(self, **{key: value for key, value in given.items() if value is not None})
 
 
@@ -228,17 +230,6 @@ class _Section:
         if choices is not None and raw not in choices:
             raise ConfigError(f"[{self.name}] {key} = {raw!r}; expected one of {choices}")
         return raw
-
-    def get_bool(self, key: str, default=False):
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        lowered = raw.strip().lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a boolean")
 
     def has(self, key: str) -> bool:
         self._seen.add(key)
@@ -290,7 +281,6 @@ def parse_config(text: str) -> RunConfig:
     run = _Section("run", cp["run"])
     mode = run.get_str("mode", required=True, choices=tuple(MODES))
     unit_system = run.get_str("unit_system", default="natural", choices=tuple(UNIT_SYSTEMS))
-    verify = run.get_bool("verify", default=False)
     fmt = run.get_str("format", default="delimited-text", choices=FORMATS)
     output_dir = run.get_str("output_dir", default="out")
     run.reject_leftovers()
@@ -325,7 +315,6 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(
         params=params,
         unit_system=unit_system,
-        verify=verify,
         fmt=fmt,
         output_dir=output_dir,
         t_start=t_start,

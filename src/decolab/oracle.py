@@ -41,7 +41,6 @@ SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 class QuadratureResult(NamedTuple):
     value: float
-    error_estimate: float
     evaluations: int
 
 
@@ -78,7 +77,6 @@ def integrate_adaptive(
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
     total = 0.0
-    err_total = 0.0
     # stack of (a, b, fa, fm, fb, coarse_estimate, panel_tolerance, depth);
     # panels are only accepted beyond depth 2 so an accidentally small
     # coarse/fine agreement on an unresolved oscillation cannot slip through
@@ -105,12 +103,10 @@ def integrate_adaptive(
         delta = left + right - coarse
         if depth >= 2 and abs(delta) <= panel_tol:
             total += left + right + delta / 15.0
-            # conservative: the Richardson step leaves far less than |delta|
-            err_total += abs(delta)
         else:
             stack.append((a0, m0, fa, flm, fm, left, 0.5 * panel_tol, depth + 1))
             stack.append((m0, b0, fm, frm, fb, right, 0.5 * panel_tol, depth + 1))
-    return QuadratureResult(value=total, error_estimate=err_total, evaluations=evals)
+    return QuadratureResult(value=total, evaluations=evals)
 
 
 def _dissipator(jump: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -52,9 +52,9 @@ DELIMITED = "delimited-text"
 STRUCTURED = "structured-text"
 FORMATS = (DELIMITED, STRUCTURED)
 
-# rows formatted per kernel call by write_table, in one pass: the kernel's
-# temporaries scale with BLOCK_ROWS x columns values (14,336 for the spin
-# table's 7 columns), about 150 bytes per value
+# rows per block of the runner's table fill and of write_table's one-pass
+# kernel, whose temporaries scale with BLOCK_ROWS x columns values (14,336
+# for the spin table's 7 columns), about 150 bytes per value
 BLOCK_ROWS = 2048
 
 # |x| outside [_SMALLEST, _LARGEST) is formatted by "%.16e" (module docstring)

@@ -25,6 +25,7 @@ from .core import (
     float_map, warn_regime,
 )
 from .output import (
+    BLOCK_ROWS,
     config_hash,
     data_extension,
     format_float,
@@ -40,7 +41,6 @@ REVIVAL_TOL = 1e-15
 MINIMUM_TOL = 1e-12
 LINDBLAD_TOL = 1e-6
 QUADRATURE_TOL = 1e-9
-GAP_BLOCK = 2048  # rows per block of the closed-form tables and of lindblad_bloch_deviation
 
 
 @dataclass
@@ -87,8 +87,8 @@ def _base_meta(config: RunConfig, kind: str) -> dict:
 
 
 def _blocks(array):
-    """Views of array's rows, GAP_BLOCK at a time, in order."""
-    return (array[i:i + GAP_BLOCK] for i in range(0, len(array), GAP_BLOCK))
+    """Views of array's rows, BLOCK_ROWS at a time (the writer's block), in order."""
+    return (array[i:i + BLOCK_ROWS] for i in range(0, len(array), BLOCK_ROWS))
 
 
 def _write_data(config: RunConfig, stem: str, kind: str, columns: list, rows, **meta) -> str:
@@ -134,7 +134,7 @@ def _run_free_cat(config: RunConfig):
 
 
 def _write_snapshot(config: RunConfig, kin, i: int, t: float) -> str:
-    """Evaluate and write snapshot i, the cat density at time t, GAP_BLOCK
+    """Evaluate and write snapshot i, the cat density at time t, BLOCK_ROWS
     x values at a time; returns the file name.  Its grid and table are
     freed on return, before the next snapshot is evaluated."""
     params = config.params

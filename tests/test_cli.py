@@ -264,11 +264,20 @@ class TestRunCommand:
             assert x.size == 512 and x[0] == -3.0 and x[-1] == 3.0
 
     def test_structured_format_override(self, tmp_path):
-        cfg = write_cfg(tmp_path, SPIN_CFG)
+        cfg = write_cfg(tmp_path, SPIN_CFG.replace("mode = spin", "mode = spin\n    format = structured-text"))
         out = tmp_path / "out"
-        assert main(["run", cfg, "--out", str(out), "--format", "structured-text"]) == 0
+        assert main(["run", cfg, "--out", str(out)]) == 0
         text = (out / "bloch_trajectory.txt").read_text()
         assert "[meta]" in text and "rows = 33" in text
+
+    def test_format_is_not_a_flag(self, tmp_path, capsys):
+        # the format comes from [run] format only: argparse refuses the flag
+        cfg = write_cfg(tmp_path, SPIN_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", cfg, "--out", str(tmp_path / "out"), "--format", "structured-text"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, FREE_CFG)
@@ -660,6 +669,29 @@ class TestErrorExits:
             "the float range: the span or (|x| + d/2)^2 overflows (d = 3.0)\n")
         assert not out.exists()
 
+    # w^2 = 0.01 at t = 0: on these accepted grids x^2 stays finite, but
+    # x^2 / 2 w^2 overflows where the density underflows to 0
+    NARROW_CAT = ("[run]\nmode = free-cat\n[time]\nend = 1\nsamples = 16\n[free-cat]\n"
+                  "mass = 1\nsigma = 0.1\nregime = free\nsnapshots = 2\nx_samples = 64\n")
+
+    def test_wide_x_grid_writes_finite_rows_without_a_numpy_warning(self, tmp_path, capsys):
+        # printed "warning: overflow encountered in divide" and recorded it in report.txt
+        cfg = write_cfg(tmp_path, self.NARROW_CAT + "d = 3\nx_min = -1e154\nx_max = 1e154\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--verify", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert "encountered in" not in (out / "report.txt").read_text()
+        for i in range(2):
+            assert np.all(np.isfinite(read_table(out / f"catfield_{i:02d}.csv")))
+
+    def test_huge_d_on_the_default_grid_is_one_error_line(self, tmp_path, capsys):
+        # the same bare warning came before the error line
+        cfg = write_cfg(tmp_path, self.NARROW_CAT + "d = 1.3e154\n")
+        assert main(["run", cfg, "--verify", "--out", str(tmp_path / "out")]) == 2
+        err = error_output(capsys)
+        assert err.startswith("error: packet width w = 0.1 is below the float spacing of d/2")
+        assert err.count("\n") == 1
+
     def test_overflowing_omega_t_is_named(self, tmp_path, capsys):
         # omega t = inf from the second sample on, where math.cos ended the
         # run with "math domain error" after a numpy warning
@@ -1004,7 +1036,7 @@ class TestMultiChunkRuns:
         assert three <= 1.1 * one, (three, one)
 
 
-# the runs whose tables runner fills GAP_BLOCK rows at a time, as configs of n
+# the runs whose tables runner fills BLOCK_ROWS rows at a time, as configs of n
 # rows: a spin trajectory, snapshots on the default and on an x_min/x_max grid
 # (n points each), and an oscillator curve
 BLOCK_FILLED_CFGS = {
@@ -1027,7 +1059,7 @@ class TestBlockFilledTables:
             return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
         one_block = written(tmp_path / "one")
-        monkeypatch.setattr(runner_mod, "GAP_BLOCK", 7)
+        monkeypatch.setattr(runner_mod, "BLOCK_ROWS", 7)
         assert written(tmp_path / "blocks") == one_block
 
     @pytest.mark.parametrize("name, limit", [

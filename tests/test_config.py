@@ -80,7 +80,6 @@ class TestHappyPaths:
             [run]
             mode = free-cat
             unit_system = cgs
-            verify = yes
             format = structured-text
             output_dir = results
 
@@ -103,7 +102,6 @@ class TestHappyPaths:
             """
         )
         assert config.constants is CGS
-        assert config.verify
         assert config.fmt == "structured-text"
         assert config.output_dir == "results"
         assert (config.t_start, config.t_end, config.n_samples) == (0.5, 4.0, 64)
@@ -197,15 +195,10 @@ class TestHappyPaths:
         )
         assert config.mode == "free-cat"
 
-    def test_false_boolean(self):
-        config = cfg(FREE_MINIMAL.replace("mode = free-cat", "mode = free-cat\nverify = no"))
-        assert config.verify is False
-
     def test_with_overrides(self):
         config = cfg(FREE_MINIMAL)
-        out = config.with_overrides(verify=True, output_dir="elsewhere", fmt="structured-text")
+        out = config.with_overrides(verify=True, output_dir="elsewhere")
         assert out.verify and out.output_dir == "elsewhere"
-        assert out.fmt == "structured-text"
         assert out.source_text == config.source_text
         # untouched fields carry over
         assert out.t_end == config.t_end
@@ -413,7 +406,7 @@ class TestRejections:
          "[free-cat] x_samples must be at least 2, got 1"),
         (lambda: cfg(OSCILLATOR_MINIMAL + "temperature = 1.0\nn_revivals = 0\n"),
          "[oscillator-cat] n_revivals must be positive, got 0"),
-        (lambda: cfg(FREE_MINIMAL).with_overrides(fmt="yaml"),
+        (lambda: dataclasses.replace(cfg(FREE_MINIMAL), fmt="yaml"),
          "format must be one of ('delimited-text', 'structured-text'), got 'yaml'"),
         (lambda: dataclasses.replace(cfg(FREE_MINIMAL), unit_system="si"),
          "unit_system must be 'natural' or 'cgs', got 'si'"),
@@ -434,11 +427,14 @@ class TestRejections:
     def test_syntax_error(self):
         self.reject("[run\nmode = spin\n", "syntax")
 
-    def test_bad_boolean(self):
-        self.reject(
-            FREE_MINIMAL.replace("mode = free-cat", "mode = free-cat\nverify = maybe"),
-            "verify",
-        )
+    def test_verify_is_not_a_config_key(self):
+        # verification is asked for by `run --verify` only; the key is refused
+        # whatever its value
+        for value in ("true", "maybe"):
+            self.reject(
+                FREE_MINIMAL.replace("mode = free-cat", f"mode = free-cat\nverify = {value}"),
+                re.escape("[run] has unknown key(s): verify"),
+            )
 
     def test_bad_format_choice(self):
         self.reject(

@@ -66,7 +66,7 @@ class TestQuadrature:
         assert res.value == pytest.approx(exact, abs=1e-9)
 
     def test_error_contract(self):
-        # |result - exact| must stay within max(tol, reported estimate)
+        # |result - exact| must stay within the requested tolerance
         cases = [
             (lambda x: math.exp(-x * x / 2.0), -8.0, 8.0, math.sqrt(2.0 * math.pi)),
             (lambda x: math.cos(50.0 * x), 0.0, 10.0, math.sin(500.0) / 50.0),
@@ -75,7 +75,7 @@ class TestQuadrature:
         for f, a, b, exact in cases:
             for tol in (1e-6, 1e-8, 1e-10):
                 res = integrate_adaptive(f, a, b, tol=tol)
-                assert abs(res.value - exact) <= max(tol, res.error_estimate)
+                assert abs(res.value - exact) <= tol
 
     def test_tightening_tolerance_tightens_answer(self):
         errors = []
@@ -158,9 +158,7 @@ class TestQuadrature:
 
     def test_result_bits_are_pinned(self):
         res = integrate_adaptive(lambda x: 1.0 / (1.0 + x * x), -4.0, 4.0, tol=1e-10)
-        assert (res.value.hex(), res.error_estimate.hex(), res.evaluations) == (
-            "0x1.5368c951e9cf5p+1", "0x1.6cb6846000000p-35", 2745
-        )
+        assert (res.value.hex(), res.evaluations) == ("0x1.5368c951e9cf5p+1", 2745)
 
 
 class CountingIntegrand:
@@ -513,7 +511,7 @@ class TestLindbladIntegration:
         t1, _ = relaxation_times(SPIN)
         args = (SPIN, [0.4, 0.2, -0.3], 2.0 * t1, t1 / 50.0)
         whole = lindblad_bloch_deviation(*args)  # 101 states: one block
-        monkeypatch.setattr(runner, "GAP_BLOCK", 7)
+        monkeypatch.setattr(runner, "BLOCK_ROWS", 7)
         assert lindblad_bloch_deviation(*args) == whole
 
     def test_deviation_keeps_a_nan_in_any_block(self, monkeypatch):
@@ -522,7 +520,7 @@ class TestLindbladIntegration:
         traj = integrate_lindblad(SPIN, density_from_polarization(p0), 2.0 * t1, t1 / 50.0)
         traj.states[30, 0, 1] = complex(math.nan, 0.0)  # in the fifth block of 7 states
         monkeypatch.setattr(oracle, "integrate_lindblad", lambda *args: traj)
-        monkeypatch.setattr(runner, "GAP_BLOCK", 7)
+        monkeypatch.setattr(runner, "BLOCK_ROWS", 7)
         assert math.isnan(lindblad_bloch_deviation(SPIN, p0, 2.0 * t1, t1 / 50.0))
 
     def test_deviation_peaks_where_the_trajectory_does(self):

@@ -1,10 +1,12 @@
-"""README's "Library use" example runs as written, and so does its minimal
-config under "Command line"."""
+"""README's "Library use" example runs as written, so does its minimal
+config under "Command line", and its synopsis lists the options the
+parser defines."""
 
+import argparse
 import pathlib
 import re
 
-from decolab.cli import main
+from decolab.cli import _build_parser, main
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
@@ -31,3 +33,14 @@ def test_minimal_config_runs_and_verifies(tmp_path):
     cfg = tmp_path / "minimal.cfg"
     cfg.write_text(blocks[0])
     assert main(["run", str(cfg), "--verify", "--out", str(tmp_path / "out")]) == 0
+
+
+def test_synopsis_lists_the_parser_options():
+    synopsis = blocks_under("Command line", "")[0].splitlines()
+    listed = {line.split()[1]: set(re.findall(r"--[\w-]+", line)) for line in synopsis}
+    subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert listed == defined

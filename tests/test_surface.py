@@ -13,8 +13,6 @@ PACKAGE = pathlib.Path(decolab.__file__).parent
 READ_OUTSIDE_THE_PACKAGE = {
     # perfbench's tracer counts the integrand evaluations of each quadrature
     "QuadratureResult.evaluations",
-    # tests/test_oracle.py holds each quadrature to its own error estimate
-    "QuadratureResult.error_estimate",
 }
 
 
