@@ -242,6 +242,12 @@ def _coefficients(spec: CatSpec, kin: ReservoirKinematics, t: float) -> _CatCoef
         raise RegimeBreakdownError(
             f"4 sigma^2 w^2 underflows to 0 at t = {t:g} (sigma = {spec.sigma:g}, w^2 = {w2:g})"
         )
+    w, half_d = math.sqrt(w2), spec.d / 2.0
+    if half_d - 10.0 * w == half_d + 10.0 * w:  # each packet's +-10 w span is one float
+        raise RegimeBreakdownError(
+            f"packet width w = {w:g} is below the float spacing of d/2 = {half_d:g} at "
+            f"t = {t:g}: d/2 +- 10 w is one float, so no x grid resolves the packets"
+        )
     d2 = spec.d * spec.d
     n = normalization_constant(spec.sigma, spec.d)
     return _CatCoefficients(

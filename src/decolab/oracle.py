@@ -211,34 +211,13 @@ def _superoperator(jump: np.ndarray) -> np.ndarray:
     return np.column_stack([_dissipator(jump, e).ravel() for e in basis])
 
 
-def _kernel_coefficients(down_op: np.ndarray, up_op: np.ndarray) -> tuple[float, ...]:
-    """(a0, b0, a1, b1, a2, b2) = D[0,0], U[0,3], D[1,1], U[1,1], D[2,2], U[2,2],
-    the entries of D and U that `integrate_lindblad` reads.
-
-    Raises ValueError naming the first row at which D or U differs from the
-    form the kernel steps: those entries, each kept only if real and in
-    +-1, +-2, zeros elsewhere, and row 3 row 0 negated.
-    """
-    tables = np.array([down_op, up_op], dtype=complex)
-    at = ((0, 1, 0, 1, 0, 1), (0, 0, 1, 1, 2, 2), (0, 3, 1, 1, 2, 2))
-    read = tables[at]
-    form = np.zeros_like(tables)
-    form[at] = np.where(np.isin(read, (-2.0, -1.0, 1.0, 2.0)), read, 0.0)
-    form[:, 3] = -form[:, 0]
-    rows = np.flatnonzero(np.any(tables != form, axis=(0, 2)))
-    if rows.size:
-        raise ValueError(
-            f"superoperator row {rows[0]} is D {tables[0, rows[0]]}, U {tables[1, rows[0]]}; "
-            f"the scalar kernel needs D {form[0, rows[0]].real}, U {form[1, rows[0]].real}"
-        )
-    return tuple(read.real.tolist())
-
-
 @functools.cache
 def _lindblad_coefficients() -> tuple[float, ...]:
-    """`_kernel_coefficients` of the SIGMA_MINUS and SIGMA_PLUS tables, built
-    and checked on the first call; they depend on no input."""
-    return _kernel_coefficients(_superoperator(SIGMA_MINUS), _superoperator(SIGMA_PLUS))
+    """D[0,0], U[0,3], D[1,1], U[1,1], D[2,2], U[2,2] of the SIGMA_MINUS (D)
+    and SIGMA_PLUS (U) tables, the entries `integrate_lindblad` steps, built
+    on the first call; they depend on no input."""
+    tables = np.array([_superoperator(SIGMA_MINUS), _superoperator(SIGMA_PLUS)])
+    return tuple(tables[(0, 1, 0, 1, 0, 1), (0, 0, 1, 1, 2, 2), (0, 3, 1, 1, 2, 2)].real.tolist())
 
 
 def _population_run(y0: float, y3: float, d: float, u: float, steps) -> tuple[np.ndarray, np.ndarray]:
@@ -277,11 +256,11 @@ def integrate_lindblad(
     """Drive the raw master equation from rho0 by RK4 and check the trajectory.
 
     The generator acts on vec(rho) as down * D + up * U, D and U the
-    superoperators of `lindblad_rhs`'s dissipators.  `_kernel_coefficients`
-    checks that they hold only the six entries the kernel reads, each 0,
-    +-1 or +-2, plus row 3 = -row 0.  Those entries are folded into the rates,
-    (c*down)*v for down*(c*v), both one rounding of one product, and row 3
-    takes row 0's increments negated (round-to-nearest is symmetric).
+    superoperators of `lindblad_rhs`'s dissipators; tier-1 tests hold them
+    to the six entries `_lindblad_coefficients` reads, each +-1 or +-2, plus
+    row 3 = -row 0.  Each entry c is folded into its rate: (c*down)*v and
+    down*(c*v) are both one rounding of one product, and row 3 takes row 0's
+    increments negated (round-to-nearest is symmetric).
     Every product is a real rate times an entry, which numpy rounds
     component by component, and every sum is entrywise, so RK4 runs as
     float recurrences with `integrate_rk4`'s stage order: the real and the

@@ -578,7 +578,8 @@ class TestErrorExits:
 
     def test_collapsed_quadrature_window_names_the_packet_width(self, tmp_path, capsys):
         # at t = 0, w = 1 beside d/2 = 5e99: d/2 +- 10 w is one float, which
-        # the quadrature refused as "need b > a", naming no input
+        # the quadrature refused as "need b > a", naming no input; the first
+        # snapshot's coefficients now refuse it
         text = "[run]\nmode = free-cat\n[time]\nend = 1.5\nsamples = 16\n[free-cat]\n"
         cfg = write_cfg(tmp_path, text + (
             "mass = 1\nsigma = 1\nd = 1e100\nregime = ohmic-high-t\n"
@@ -588,7 +589,7 @@ class TestErrorExits:
         assert "need b > a" not in err
         assert err.splitlines()[-1] == (
             "error: packet width w = 1 is below the float spacing of d/2 = 5e+99 at "
-            "snapshot t = 0: the quadrature window d/2 +- 10 w holds one float")
+            "t = 0: d/2 +- 10 w is one float, so no x grid resolves the packets")
 
     def test_quadrature_window_of_a_few_floats_stops_at_once(self, tmp_path, capsys):
         # at t = 0, w = 1 beside d/2 = 2.5e15, whose float spacing is 0.5: the
@@ -691,6 +692,18 @@ class TestErrorExits:
         err = error_output(capsys)
         assert err.startswith("error: packet width w = 0.1 is below the float spacing of d/2")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["plain", "verify"])
+    def test_unresolvable_cat_writes_no_snapshot(self, tmp_path, capsys, verify):
+        # the plain run exited 0 with status = pass and a catfield_00.csv of
+        # 62 zero rows; --verify refused only after writing every snapshot
+        cfg = write_cfg(tmp_path, self.NARROW_CAT + "d = 1.3e154\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), *verify]) == 2
+        err = error_output(capsys)
+        assert err.count("error:") == 1 and err.count("\n") == 1, err
+        assert list(out.glob("catfield_*")) == []
+        assert not (out / "report.txt").exists()
 
     def test_overflowing_omega_t_is_named(self, tmp_path, capsys):
         # omega t = inf from the second sample on, where math.cos ended the

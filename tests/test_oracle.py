@@ -18,7 +18,7 @@ from decolab.oracle import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     Trajectory,
-    _kernel_coefficients,
+    _lindblad_coefficients,
     _step_plan,
     _superoperator,
     integrate_adaptive,
@@ -383,27 +383,17 @@ class TestLindbladIntegration:
         upper = np.abs(traj.states[:, 0, 0].real)
         assert np.count_nonzero((upper > 0.0) & (upper < np.finfo(float).tiny)) > 50
 
-    @pytest.mark.parametrize(
-        "op_index, row, entries",
-        [
-            (0, 3, [-2.0, 0.0, 0.0, 0.0]),  # row 3 equal to row 0, not negated
-            (1, 3, [0.0, 0.0, 0.0, -1.0]),  # row 3 coefficient not -b0
-            (0, 3, [0.0, 0.0, 0.0, 2.0]),   # row 3 on another column than row 0
-            (0, 1, [0.0, 0.0, -1.0, 0.0]),  # rho01 driven by rho10
-            (1, 2, [0.0, -1.0, 0.0, 0.0]),  # rho10 driven by rho01
-            (0, 0, [0.0, 0.0, 0.0, -2.0]),  # population row on the wrong column
-        ],
-        ids=["row3-not-negated", "row3-coefficient", "row3-column",
-             "row1-coupled", "row2-coupled", "row0-column"],
-    )
-    def test_kernel_needs_negated_populations_and_uncoupled_coherences(
-        self, op_index, row, entries
-    ):
-        ops = [_superoperator(SIGMA_MINUS), _superoperator(SIGMA_PLUS)]
-        assert _kernel_coefficients(*ops) == (-2.0, 2.0, -1.0, -1.0, -1.0, -1.0)
-        ops[op_index][row] = entries
-        with pytest.raises(ValueError, match=f"superoperator row {row}"):
-            _kernel_coefficients(*ops)
+    def test_tables_hold_the_form_the_kernel_steps(self):
+        # the scalar kernel's exactness rests on this sparse form of D and U:
+        # populations coupled through rows 0 and 3 = -row 0, each coherence
+        # to itself alone, every entry +-1 or +-2
+        down, up = np.zeros((4, 4)), np.zeros((4, 4))
+        down[0, 0], down[3, 0], up[0, 3], up[3, 3] = -2.0, 2.0, 2.0, -2.0
+        for i in (1, 2):
+            down[i, i] = up[i, i] = -1.0
+        for table, form in ((_superoperator(SIGMA_MINUS), down), (_superoperator(SIGMA_PLUS), up)):
+            assert table.tolist() == form.astype(complex).tolist()
+        assert _lindblad_coefficients() == (-2.0, 2.0, -1.0, -1.0, -1.0, -1.0)
 
     def test_second_call_builds_no_table(self, monkeypatch):
         # D and U depend on no input: built and checked once, not per call
@@ -484,18 +474,6 @@ class TestLindbladIntegration:
         rho0[0, 1] = complex(math.nan, 0.0)
         with pytest.raises(StateInvariantError):
             integrate_lindblad(SPIN, rho0, 1.0, 0.1)
-
-    @pytest.mark.parametrize(
-        "row",
-        [[-2.0, 1.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0], [0.0, 1.0j, 0.0, 0.0]],
-        ids=["two-entries", "inexact-coefficient", "imaginary"],
-    )
-    def test_kernel_table_needs_one_exact_entry_per_row(self, row):
-        # the scalar kernel's exactness rests on this form of D and U
-        down, up = _superoperator(SIGMA_MINUS), _superoperator(SIGMA_PLUS)
-        down[1] = row
-        with pytest.raises(ValueError, match="superoperator row 1"):
-            _kernel_coefficients(down, up)
 
     def test_deviation_is_the_max_over_samples(self):
         t1, _ = relaxation_times(SPIN)

@@ -1,6 +1,6 @@
-"""The package's public surface: every public function and class is used by
-the program itself, not only by tests, and every field a class declares is
-read by it."""
+"""The package's surface: every module-level function and class, private
+or public, is used by the program itself, not only by tests, and every
+field a class declares is read by it."""
 
 import ast
 import pathlib
@@ -25,14 +25,15 @@ def reads(tree: ast.AST) -> Counter:
     )
 
 
-def test_every_public_definition_has_a_caller_in_the_package():
+def test_every_module_level_definition_has_a_caller_in_the_package():
+    # private helpers too: one only tests reach is as dead as a public one.
     # __init__ only re-exports; __main__ is a caller like any other module
     trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py") if path.stem != "__init__"]
     everywhere = sum((reads(tree) for tree in trees), Counter())
     unreferenced = [
         node.name
         for tree in trees for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and everywhere[node.name] == reads(node)[node.name]  # read only inside itself
     ]
     assert unreferenced == []
