@@ -6,12 +6,13 @@ Three model families share a small core:
   interference term, and the attenuation laws for Ohmic reservoirs.
 - cat_oscillator: the same superposition in a harmonic well, where the
   attenuation is periodic and fully revives twice per cycle.
-- spin_bloch: a damped two-level system, its Bloch relaxation in closed
-  form, and the raw master equation it must agree with.
+- spin_bloch: a damped two-level system and its Bloch relaxation in
+  closed form.
 
-The oracle module carries the independent numerics (adaptive quadrature,
-fixed-step RK4) used to cross-check the closed forms, and the CLI exposes
-runs, regime comparisons, and a selftest battery.
+The oracle module carries the independent numerics used to cross-check
+the closed forms: adaptive quadrature, fixed-step RK4, and the raw
+two-level master equation the Bloch solution must agree with.  The CLI
+exposes runs, regime comparisons, and a selftest battery.
 """
 
 from .core import (

@@ -49,6 +49,8 @@ class OscillatorSpec:
         require_positive("mass", self.mass)
         require_positive("omega", self.omega)
         require_non_negative("separation d", self.d)
+        if self.d * self.d == math.inf:
+            raise ValueError(f"separation d = {self.d:g} overflows when squared")
         if self.temperature <= 0:
             raise ValueError(
                 f"temperature must be positive, got {self.temperature} "

@@ -192,7 +192,14 @@ def classicality_ratio(temperature: float, gamma: float, constants: PhysicalCons
     return constants.k_boltzmann * temperature / (constants.hbar * gamma)
 
 
-FLOAT_MAP_CHUNK = 8192
+# rows per block of every streamed loop: float_map's chunks, the runner's
+# table fills and write_table's one-pass kernel
+BLOCK_ROWS = 2048
+
+
+def blocks(array):
+    """Views of array's rows (elements, if 1-D), BLOCK_ROWS at a time, in order."""
+    return (array[i:i + BLOCK_ROWS] for i in range(0, len(array), BLOCK_ROWS))
 
 
 def float_map(fn, x):
@@ -201,9 +208,9 @@ def float_map(fn, x):
     float ** round differently from their numpy counterparts on some
     inputs).  A float in gives a float out; an array keeps its shape.
 
-    The elements go through fn in chunks of FLOAT_MAP_CHUNK (8,192) values,
-    so only one chunk at a time exists as Python floats (about 32 bytes per
-    value, 0.26 MB per chunk) beside the 8-byte-per-value result; the whole
+    The elements go through fn one block of BLOCK_ROWS (2,048) values at a
+    time, so only one block exists as Python floats (about 32 bytes per
+    value, 66 kB per block) beside the 8-byte-per-value result; the whole
     array as a list would cost four times the result.  A non-contiguous x
     is first copied, 8 bytes per value.  An exception from fn propagates
     unchanged, raised at the same element as by a plain loop.
@@ -212,8 +219,7 @@ def float_map(fn, x):
         return fn(float(x))
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
-    chunks = (flat[i:i + FLOAT_MAP_CHUNK].tolist() for i in range(0, flat.size, FLOAT_MAP_CHUNK))
-    values = itertools.chain.from_iterable(map(fn, chunk) for chunk in chunks)
+    values = itertools.chain.from_iterable(map(fn, block.tolist()) for block in blocks(flat))
     return np.fromiter(values, float, count=flat.size).reshape(x.shape)
 
 

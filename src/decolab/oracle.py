@@ -146,13 +146,14 @@ class Trajectory:
     states: np.ndarray
 
 
-def _step_plan(t_end: float, dt: float) -> tuple[int, tuple, np.ndarray]:
-    """RK4's steps to t_end, (n, tail, times): n steps of dt, then in `tail`
-    a short step t_end - t if t is still below t_end less 1e-12 max(t_end, 1),
-    the margin for round-off in the sum.  times are 0 and t after each step,
+def _step_plan(t_end: float, dt: float) -> tuple[np.ndarray, Callable]:
+    """RK4's steps to t_end, (times, steps): n steps of dt, then a short
+    step t_end - t if t is still below t_end less 1e-12 max(t_end, 1), the
+    margin for round-off in the sum.  times are 0 and t after each step,
     summed left to right by np.cumsum, so each equals `t += h` bit for bit.
-    A horizon of more than STEP_BUDGET steps raises ConvergenceError before
-    any array is built."""
+    Each call of steps() iterates over the steps afresh, each as the triple
+    (h, 0.5 * h, h / 6.0) of RK4's stage offsets.  A horizon of more than
+    STEP_BUDGET steps raises ConvergenceError before any array is built."""
     require_positive("dt", dt)
     require_non_negative("t_end", t_end)
     if t_end > 0 and dt > t_end:
@@ -167,7 +168,8 @@ def _step_plan(t_end: float, dt: float) -> tuple[int, tuple, np.ndarray]:
     n = np.count_nonzero((times < stop) & (t_end - times >= dt))  # steps of min(dt, t_end - t)
     tail = (t_end - float(times[n]),) if times[n] < stop else ()
     times[n + 1:n + 1 + len(tail)] = [times[n] + h for h in tail]
-    return n, tail, times[:n + 1 + len(tail)]
+    full, last = (dt, 0.5 * dt, dt / 6.0), [(h, 0.5 * h, h / 6.0) for h in tail]
+    return times[:n + 1 + len(tail)], lambda: itertools.chain(itertools.repeat(full, n), last)
 
 
 def integrate_rk4(
@@ -192,15 +194,15 @@ def integrate_rk4(
         Integration horizon and step; `_step_plan` sets the steps, at most
         STEP_BUDGET of them.
     """
-    n, tail, times = _step_plan(t_end, dt)
+    times, steps = _step_plan(t_end, dt)
     y = np.array(initial, dtype=complex if np.iscomplexobj(initial) else float)
     states = [y.copy()]
-    for t, h in zip(times.tolist(), itertools.chain(itertools.repeat(dt, n), tail)):
+    for t, (h, half, sixth) in zip(times.tolist(), steps()):
         k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k2 = rhs(t + half, y + half * k1)
+        k3 = rhs(t + half, y + half * k2)
         k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states.append(y.copy())
     return Trajectory(times=times, states=np.array(states))
 
@@ -276,15 +278,10 @@ def integrate_lindblad(
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (2, 2):
         raise ValueError(f"rho0 must be 2x2, got shape {rho0.shape}")
-    n, tail, times = _step_plan(t_end, dt)
+    times, steps = _step_plan(t_end, dt)
     check_density_matrix(rho0)
     down, up = _rates(spec, constants)
     d0, u0, d1, u1, d2, u2 = (c * r for c, r in zip(_lindblad_coefficients(), (down, up) * 3))
-    full, last = (dt, 0.5 * dt, dt / 6.0), [(h, 0.5 * h, h / 6.0) for h in tail]
-
-    def steps():
-        return itertools.chain(itertools.repeat(full, n), last)
-
     states = np.zeros((len(times), 4), dtype=complex)  # vec(rho) of each state
     runs = {}
     for part, start in ((states.real, rho0.real.ravel()), (states.imag, rho0.imag.ravel())):

@@ -48,14 +48,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import blocks
+
 DELIMITED = "delimited-text"
 STRUCTURED = "structured-text"
 FORMATS = (DELIMITED, STRUCTURED)
-
-# rows per block of the runner's table fill and of write_table's one-pass
-# kernel, whose temporaries scale with BLOCK_ROWS x columns values (14,336
-# for the spin table's 7 columns), about 150 bytes per value
-BLOCK_ROWS = 2048
 
 # |x| outside [_SMALLEST, _LARGEST) is formatted by "%.16e" (module docstring)
 _SMALLEST = 1e-290
@@ -252,8 +249,10 @@ def write_table(path: Path, meta: dict, columns: list[str], rows, fmt: str) -> N
     empty list, is a table of no rows.  Lines end in a newline byte on
     every platform.
 
-    Rows are formatted BLOCK_ROWS at a time by the kernel the module
-    docstring describes; every number is written as "%.16e" writes it.
+    Rows are formatted one `core.blocks` block at a time by the kernel the
+    module docstring describes, whose temporaries scale with the block's
+    values (14,336 for 2,048 rows of the spin table's 7 columns), about
+    150 bytes per value; every number is written as "%.16e" writes it.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if not rows.size:
@@ -272,12 +271,13 @@ def write_table(path: Path, meta: dict, columns: list[str], rows, fmt: str) -> N
         raise ValueError(f"unknown format {fmt!r}")
     with open(path, "wb") as handle:
         handle.write(("\n".join(header) + "\n").encode("utf-8"))
-        if rows.shape[0]:
-            out = _layout(min(rows.shape[0], BLOCK_ROWS), rows.shape[1], prefix)
-            for start in range(0, rows.shape[0], BLOCK_ROWS):
-                # the kernel's byte views need C-ordered intermediates
-                block = np.ascontiguousarray(rows[start:start + BLOCK_ROWS])
-                handle.write(_format_block(block, out, prefix, start))
+        first_row = 0
+        for block in blocks(rows):
+            if not first_row:  # the first block is the longest
+                out = _layout(len(block), rows.shape[1], prefix)
+            # the kernel's byte views need C-ordered intermediates
+            handle.write(_format_block(np.ascontiguousarray(block), out, prefix, first_row))
+            first_row += len(block)
 
 
 def write_sections(path: Path, sections: dict) -> None:

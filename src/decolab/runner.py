@@ -23,15 +23,8 @@ import numpy as np
 
 from . import cat_free, cat_oscillator, oracle, spin_bloch
 from .config import MAX_SAMPLES, FreeCatParams, OscillatorParams, RunConfig, SpinParams
-from .core import NATURAL, CatSpec, Check, ConfigError, PhysicalConstants, float_map, warn_regime
-from .output import (
-    BLOCK_ROWS,
-    config_hash,
-    data_extension,
-    format_float,
-    write_sections,
-    write_table,
-)
+from .core import NATURAL, CatSpec, Check, ConfigError, PhysicalConstants, blocks, float_map, warn_regime
+from .output import config_hash, data_extension, format_float, write_sections, write_table
 
 NORMALIZATION_TOL = 1e-6
 TERM_INVARIANCE_TOL = 1e-6
@@ -86,11 +79,6 @@ def _base_meta(config: RunConfig, kind: str) -> dict:
     }
 
 
-def _blocks(array):
-    """Views of array's rows, BLOCK_ROWS at a time (the writer's block), in order."""
-    return (array[i:i + BLOCK_ROWS] for i in range(0, len(array), BLOCK_ROWS))
-
-
 def _write_data(config: RunConfig, stem: str, kind: str, columns: list, rows, **meta) -> str:
     """Write one data table into the output directory in the run's format,
     its metadata the base entries followed by `meta`; returns the file name."""
@@ -134,15 +122,16 @@ def _run_free_cat(config: RunConfig):
 
 
 def _write_snapshot(config: RunConfig, kin, i: int, t: float) -> str:
-    """Evaluate and write snapshot i, the cat density at time t, BLOCK_ROWS
-    x values at a time; returns the file name.  Its grid and table are
-    freed on return, before the next snapshot is evaluated."""
+    """Evaluate and write snapshot i, the cat density at time t, one
+    `core.blocks` block of x values at a time; returns the file name.  Its
+    grid and table are freed on return, before the next snapshot is
+    evaluated."""
     params = config.params
     w2 = cat_free.packet_variance(kin, params.cat.sigma, t)
     rows = np.empty((params.x_samples, 5))
     rows[:, 0] = (cat_free.default_grid(params.cat, w2, params.x_samples) if params.x_min is None
                   else np.linspace(params.x_min, params.x_max, params.x_samples))
-    for block in _blocks(rows):
+    for block in blocks(rows):
         field = cat_free.cat_probability(params.cat, kin, t, block[:, 0])
         block[:, 1:] = np.column_stack([field.total, field.p1, field.p2, field.interference])
     columns = ["x", "P_total", "P1", "P2", "P_interference_term"]
@@ -209,8 +198,8 @@ def ratio_identity_deviation(spec: CatSpec, kin, t: float) -> tuple[float, float
 
 
 def _bloch_blocks(spec, p0, times, constants: PhysicalConstants):
-    """Yield the closed-form polarization and density matrices (P, rho) at each of `_blocks(times)`."""
-    for block in _blocks(times):
+    """Yield the closed-form polarization and density matrices (P, rho) at each of `blocks(times)`."""
+    for block in blocks(times):
         p = spin_bloch.bloch_evolve(spec, p0, block, constants)
         yield p, spin_bloch.density_from_polarization(p)
 
@@ -226,7 +215,7 @@ def lindblad_bloch_deviation(
     rho0 = spin_bloch.density_from_polarization(p0)
     traj = oracle.integrate_lindblad(spec, rho0, t_end, dt, constants)
     block_maxima = []
-    for (_, gap), states in zip(_bloch_blocks(spec, p0, traj.times, constants), _blocks(traj.states)):
+    for (_, gap), states in zip(_bloch_blocks(spec, p0, traj.times, constants), blocks(traj.states)):
         gap -= states  # in place: no third block array
         block_maxima.append(np.max(np.abs(gap)))
     return float(np.max(block_maxima))  # np.max keeps a NaN, where Python's max can drop it
@@ -292,7 +281,7 @@ def _run_oscillator(config: RunConfig):
         n = int(count)
     rows = np.empty((config.n_samples, 2))
     rows[:, 0] = _time_grid(config)
-    for block in _blocks(rows):
+    for block in blocks(rows):
         block[:, 1] = cat_oscillator.attenuation_oscillator(spec, block[:, 0], constants)
     files = [_write_data(config, "attenuation", "attenuation-curve", ["t", "a"], rows)]
 
@@ -327,7 +316,7 @@ def _run_spin(config: RunConfig):
     rows = np.empty((config.n_samples, 7))
     rows[:, 0] = _time_grid(config)
     closed_form = _bloch_blocks(spec, params.initial, rows[:, 0], constants)
-    for block, (p, rho) in zip(_blocks(rows), closed_form):
+    for block, (p, rho) in zip(blocks(rows), closed_form):
         block[:, 1:4], block[:, 4], block[:, 5] = p, rho[:, 0, 0].real, rho[:, 1, 1].real
         # np.hypot rounds as the scalar abs() of a complex does; numpy's
         # vectorised complex abs does not, and the written columns are pinned

@@ -47,6 +47,13 @@ class TestOscillatorSpec:
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
             OscillatorSpec(**params)
 
+    def test_separation_whose_square_overflows_is_refused(self):
+        # d^2 = inf: attenuation_oscillator raised "left the float range
+        # ((34, 'Numerical result out of range'))", naming no input
+        with pytest.raises(ValueError, match=r"^separation d = 1e\+200 overflows when squared$"):
+            OscillatorSpec(mass=1e-300, omega=1.0, d=1e200, temperature=1.0)
+        OscillatorSpec(mass=1.0, omega=1.0, d=1e154, temperature=1.0)  # d^2 = 1e308 is finite
+
 
 class TestAttenuation:
     def test_initial_minimum_value(self):

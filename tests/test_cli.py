@@ -716,6 +716,18 @@ class TestErrorExits:
         assert error_output(capsys) == "error: omega t overflows at t = 6.66667e+298 (omega = 1e+10)\n"
         assert not (out / "attenuation.csv").exists()
 
+    def test_overflowing_oscillator_separation_is_a_config_error(self, tmp_path, capsys):
+        # d^2 overflows: the run ended "error: attenuation_oscillator left the
+        # float range ((34, 'Numerical result out of range'))", naming no input
+        text = "[run]\nmode = oscillator-cat\n[time]\nend = 1\nsamples = 4\n[oscillator-cat]\n"
+        cfg = write_cfg(tmp_path, text + (
+            "mass = 1e-300\nomega = 1\nd = 1e200\ntemperature = 1\nn_revivals = 1\n"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--verify", "--out", str(out)]) == 2
+        assert error_output(capsys) == (
+            "config error: [oscillator-cat] separation d = 1e+200 overflows when squared\n")
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_lindblad_step_budget_is_an_error_exit(self, tmp_path, capsys):
         # about 1.6e9 RK4 steps at min(T1, end)/400: refused before the first
         text = (pathlib.Path(__file__).parent.parent / "configs" / "spin.cfg").read_text()
@@ -1049,11 +1061,13 @@ class TestMultiChunkRuns:
         assert three <= 1.1 * one, (three, one)
 
 
-# the runs whose tables runner fills BLOCK_ROWS rows at a time, as configs of n
-# rows: a spin trajectory, snapshots on the default and on an x_min/x_max grid
-# (n points each), and an oscillator curve
+# the runs whose loops go core.BLOCK_ROWS rows at a time, as configs of n rows:
+# a spin trajectory, snapshots on the default and on an x_min/x_max grid (n
+# points each) and an oscillator curve, whose tables runner fills block by
+# block, and a free-cat curve, whose laws float_map runs block by block
 BLOCK_FILLED_CFGS = {
     "spin": lambda n: SPIN_CFG.replace("samples = 33", f"samples = {n}"),
+    "free-cat": lambda n: FREE_CFG.replace("samples = 41", f"samples = {n}"),
     "snapshot": lambda n: FREE_CFG.replace("x_samples = 512", f"x_samples = {n}"),
     "snapshot-x-range": lambda n: FREE_CFG.replace("x_samples = 512", f"x_samples = {n}")
     + "    x_min = -3.0\n    x_max = 3.0\n",
@@ -1072,8 +1086,23 @@ class TestBlockFilledTables:
             return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
         one_block = written(tmp_path / "one")
-        monkeypatch.setattr(runner_mod, "BLOCK_ROWS", 7)
+        monkeypatch.setattr("decolab.core.BLOCK_ROWS", 7)
         assert written(tmp_path / "blocks") == one_block
+
+    @pytest.mark.parametrize("n", [20, 21, 22])
+    def test_block_boundaries_write_the_same_comparison(self, tmp_path, monkeypatch, n):
+        # compare-regimes writes into the config's output_dir: both runs share it
+        out = tmp_path / "cmp"
+        text = FREE_CFG.replace("samples = 41", f"samples = {n}").replace("gamma = 0.0", "gamma = 0.2")
+        cfg = write_cfg(tmp_path, text.replace("[time]", f"output_dir = {out}\n\n    [time]"))
+
+        def written():
+            assert main(["compare-regimes", cfg]) == 0
+            return (out / "regime_comparison.csv").read_bytes()
+
+        one_block = written()
+        monkeypatch.setattr("decolab.core.BLOCK_ROWS", 7)
+        assert written() == one_block
 
     @pytest.mark.parametrize("name, limit", [
         ("spin", 90), ("snapshot", 70), ("oscillator", 30),

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 import decolab
 from decolab.core import (
+    BLOCK_ROWS,
     CGS,
     HBAR_CGS,
     KB_CGS,
@@ -246,7 +247,7 @@ class TestUnitRoundTrip:
         )
 
 
-CHUNK = 8192  # core.FLOAT_MAP_CHUNK
+CHUNK = BLOCK_ROWS  # float_map's chunk
 
 
 def loop_reference(fn, x):
@@ -270,7 +271,9 @@ def layouts(n):
 
 
 class TestFloatMap:
-    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    # several chunks, ending one short of, at and one past a seam, and a
+    # dozen chunks and a part
+    @pytest.mark.parametrize("n", [0, 1, 4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1, 12 * CHUNK + 7])
     @pytest.mark.parametrize(
         "fn", [math.exp, math.cos, lambda q: q ** 3], ids=["exp", "cos", "cube"]
     )
@@ -290,8 +293,8 @@ class TestFloatMap:
         assert got == math.exp(0.5)
 
     def test_error_past_the_first_chunk_is_raised_at_its_element(self):
-        x = np.linspace(1.0, 2.0, 3 * CHUNK)
-        x[10_000] = -1.0
+        x = np.linspace(1.0, 2.0, 12 * CHUNK)
+        x[10_000] = -1.0  # in the fifth chunk
         seen = []
 
         def log(v):
@@ -307,7 +310,7 @@ class TestFloatMap:
 
     def test_transient_memory_stays_near_the_result(self):
         # a list of the whole input as Python floats would cost about four
-        # times the 8-byte-per-value result; one chunk at a time costs 0.26 MB
+        # times the 8-byte-per-value result; one chunk at a time costs 66 kB
         x = np.linspace(-5.0, 5.0, 10**6)
         tracemalloc.start()
         try:

@@ -257,11 +257,16 @@ class TestRK4:
 
 
 def assert_plan_matches_reference(t_end, dt):
-    n, tail, times = _step_plan(t_end, dt)
-    steps, reference_times = reference_steps(t_end, dt)
-    assert np.array([dt] * n + list(tail)).tobytes() == np.array(steps).tobytes()
+    """The plan's times and step triples against the reference loop's;
+    returns the counts of full steps and of short ones."""
+    times, steps = _step_plan(t_end, dt)
+    reference_hs, reference_times = reference_steps(t_end, dt)
+    triples = list(steps())
+    assert triples == [(h, 0.5 * h, h / 6.0) for h in reference_hs]
+    assert list(steps()) == triples  # each call iterates afresh
     assert times.tobytes() == np.array(reference_times).tobytes()
-    return n, tail
+    full = sum(h == dt for h in reference_hs)
+    return full, len(reference_hs) - full
 
 
 class TestStepPlan:
@@ -278,8 +283,7 @@ class TestStepPlan:
         (0.0, 0.1, 0, False),            # t_end = 0: the start alone
     ])
     def test_fixed_cases(self, t_end, dt, full, short):
-        n, tail = assert_plan_matches_reference(t_end, dt)
-        assert (n, len(tail)) == (full, int(short))
+        assert assert_plan_matches_reference(t_end, dt) == (full, int(short))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -489,7 +493,7 @@ class TestLindbladIntegration:
         t1, _ = relaxation_times(SPIN)
         args = (SPIN, [0.4, 0.2, -0.3], 2.0 * t1, t1 / 50.0)
         whole = lindblad_bloch_deviation(*args)  # 101 states: one block
-        monkeypatch.setattr(runner, "BLOCK_ROWS", 7)
+        monkeypatch.setattr("decolab.core.BLOCK_ROWS", 7)
         assert lindblad_bloch_deviation(*args) == whole
 
     def test_deviation_keeps_a_nan_in_any_block(self, monkeypatch):
@@ -498,7 +502,7 @@ class TestLindbladIntegration:
         traj = integrate_lindblad(SPIN, density_from_polarization(p0), 2.0 * t1, t1 / 50.0)
         traj.states[30, 0, 1] = complex(math.nan, 0.0)  # in the fifth block of 7 states
         monkeypatch.setattr(oracle, "integrate_lindblad", lambda *args: traj)
-        monkeypatch.setattr(runner, "BLOCK_ROWS", 7)
+        monkeypatch.setattr("decolab.core.BLOCK_ROWS", 7)
         assert math.isnan(lindblad_bloch_deviation(SPIN, p0, 2.0 * t1, t1 / 50.0))
 
     def test_deviation_peaks_where_the_trajectory_does(self):

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from decolab.core import BLOCK_ROWS
 from decolab.output import (
-    BLOCK_ROWS,
     DELIMITED,
     FORMATS,
     STRUCTURED,
